@@ -10,10 +10,9 @@
 //	          [-workers n] [-parallel n] [-solve-timeout 5m]
 //	          [-max-queue n] [-data-dir dir] [-no-sync]
 //	          [-fsync-interval 0]
-//	          [-cluster url1,url2,...] [-self url] [-peer-cache]
-//	          [-no-forward] [-peer-timeout 2s] [-probe-interval 1s]
+//	          [-cluster url1,url2,...] [-self url]
+//	          [-peer-timeout 2s] [-probe-interval 1s]
 //	          [-breaker-threshold 3] [-breaker-backoff 250ms]
-//	          [-successor url]
 //	netplaced -drain-peer url -cluster url1,url2,...
 //
 // With -cluster the server is one replica of a sharded netplaced
@@ -22,11 +21,9 @@
 // sharded across the replicas by content hash on a consistent-hash
 // ring; requests for keys another replica owns are transparently
 // forwarded to it (with an X-Netplace-Forwarded hop guard), so any
-// replica is a valid entry point — -no-forward disables the forwarding
-// and leaves each replica answering only what it holds, for sharded
-// clients that route themselves. -peer-cache additionally lets a solve
-// that misses the local result cache probe the peers' caches before
-// running the solver, collapsing identical solves cluster-wide;
+// replica is a valid entry point. One membership object per process
+// holds the member list, the ring, the per-peer breakers and the peer
+// clients; the forwarding proxy and the server both read it.
 // /statz?cluster=1 merges every replica's counters into one view.
 //
 // The cluster is self-healing: every replica tracks its peers with
@@ -37,15 +34,16 @@
 // X-Netplace-Replica-Down header, and a Retry-After matching the
 // breaker's reopen-probe backoff (-breaker-backoff, doubled per failed
 // probe). Each replica also pushes a read-only snapshot of every
-// instance it owns to its ring successor (the next member in sorted
-// -cluster order, overridable with -successor), so stale-tolerant
-// reads — solve, cost, and instance info carrying
+// instance it owns to its ring successor (the next current member in
+// sorted URL order, re-derived after every membership change), so
+// stale-tolerant reads — solve, cost, and instance info carrying
 // X-Netplace-Allow-Stale — fail over to the successor while the owner
 // is partitioned; writes surface the typed 503 until it heals.
 // -drain-peer gracefully retires a replica instead: the target drains
 // (final snapshots, WAL flush), every surviving replica drops it from
-// the ring via POST /v1/cluster/drain, and its instances are re-homed
-// across the survivors. See docs/cluster.md ("Failure modes &
+// its membership via POST /v1/cluster/drain — routing, failover and the
+// replication successor all move off it at once — and its instances are
+// re-homed across the survivors. See docs/cluster.md ("Failure modes &
 // membership").
 //
 // With -data-dir the server is durable: uploaded instances are
@@ -164,13 +162,10 @@ func main() {
 		fsyncIvl  = flag.Duration("fsync-interval", 0, "group-commit window: fsync session WALs at most once per interval (0: every append)")
 		clusterL  = flag.String("cluster", "", "comma-separated base URLs of every cluster replica (empty: standalone); see docs/cluster.md")
 		selfURL   = flag.String("self", "", "this replica's own base URL within -cluster")
-		peerCache = flag.Bool("peer-cache", false, "probe cluster peers' solve caches before running a solver (needs -cluster)")
-		noForward = flag.Bool("no-forward", false, "do not proxy requests for keys other replicas own (callers must route themselves)")
-		peerTime  = flag.Duration("peer-timeout", 0, "per-peer cap on cache probes, gossip fetches, and health probes (0: default 2s)")
+		peerTime  = flag.Duration("peer-timeout", 0, "per-peer cap on snapshot pushes, gossip fetches, and health probes (0: default 2s)")
 		probeIvl  = flag.Duration("probe-interval", 0, "peer /readyz health-probe interval (0: default 1s, <0: passive-only breakers)")
 		bThresh   = flag.Int("breaker-threshold", 0, "consecutive peer failures before its circuit breaker opens (0: default 3)")
 		bBackoff  = flag.Duration("breaker-backoff", 0, "initial breaker reopen-probe backoff, doubled per failed probe (0: default 250ms)")
-		succFlag  = flag.String("successor", "", "replica URL to push instance replica snapshots to (empty: next -cluster member in sorted order)")
 		drainPeer = flag.String("drain-peer", "", "drain this replica URL out of -cluster and re-home its instances, then exit")
 	)
 	flag.Parse()
@@ -190,9 +185,9 @@ func main() {
 		}
 		return
 	}
-	succURL := strings.TrimRight(*succFlag, "/")
-	if succURL == "" && *selfURL != "" {
-		succURL = cluster.SuccessorOf(peers, strings.TrimRight(*selfURL, "/"))
+	if len(peers) > 0 && *selfURL == "" {
+		fmt.Fprintln(os.Stderr, "netplaced: -cluster needs -self")
+		os.Exit(1)
 	}
 	srv, err := service.Open(service.Config{
 		MemoryBudget:       *mem,
@@ -207,14 +202,8 @@ func main() {
 		NoSync:             *noSync,
 		MaxSolveQueue:      *maxQueue,
 		FsyncInterval:      *fsyncIvl,
-		Peers:              peers,
-		SelfURL:            *selfURL,
-		PeerCache:          *peerCache,
 		PeerTimeout:        *peerTime,
 		ProbeInterval:      *probeIvl,
-		BreakerThreshold:   *bThresh,
-		BreakerBackoff:     *bBackoff,
-		SuccessorURL:       succURL,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netplaced:", err)
@@ -226,19 +215,14 @@ func main() {
 		log.Printf("netplaced data dir %s: recovered %d instances, %d sessions", *dataDir, st.Instances, st.RecoveredSessions)
 	}
 	handler := srv.Handler()
-	if len(peers) > 0 && !*noForward {
-		if *selfURL == "" {
-			fmt.Fprintln(os.Stderr, "netplaced: -cluster forwarding needs -self (or pass -no-forward)")
-			os.Exit(1)
-		}
-		p := cluster.NewProxy(*selfURL, peers, handler, nil)
-		// Share the server's breaker set with the proxy so passive
-		// errors, prober verdicts, and proxy forwards all feed (and
-		// honor) the same per-peer state.
-		if h := srv.PeerHealth(); h != nil {
-			p.UseHealth(h)
-		}
-		handler = p
+	if len(peers) > 0 {
+		// One membership for the whole process: the server (successor
+		// pushes, stats fan-out, prober, drains) and the proxy (routing,
+		// failover) read the same members, ring and breakers.
+		m := cluster.NewMembership(*selfURL, peers, nil,
+			service.BreakerConfig{Threshold: *bThresh, Backoff: *bBackoff})
+		srv.Join(m)
+		handler = cluster.NewProxy(m, handler, nil)
 	}
 	if *withPprof {
 		// Profiling endpoints are opt-in: they expose internals and cost

@@ -292,17 +292,19 @@ func TestResilienceDocs(t *testing.T) {
 }
 
 // TestClusterDocs asserts the scale-out layer stays documented:
-// docs/cluster.md exists and covers the membership flags, the hash
-// ring, the hop guard, the peer cache, and the merged stats view; the
-// HTTP API page links it (the probe route and peer counters live
-// there); and the two cluster-aware commands' doc comments point at it.
+// docs/cluster.md exists and covers the membership flags, the
+// membership object, the hash ring, the hop guard, and the merged stats
+// view; the HTTP API page links it (the replica routes and peer
+// counters live there); the two cluster-aware commands' doc comments
+// point at it; and neither the page nor the netplaced doc comment names
+// a -flag the commands no longer define.
 func TestClusterDocs(t *testing.T) {
 	page, err := os.ReadFile(filepath.Join("docs", "cluster.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"-cluster", "-self", "-peer-cache", "-no-forward",
+		"-cluster", "-self", "Membership",
 		"consistent-hash", "X-Netplace-Forwarded", "/statz?cluster=1",
 		"byte-identical", "-peers",
 	} {
@@ -331,6 +333,92 @@ func TestClusterDocs(t *testing.T) {
 	if !strings.Contains(string(replay), "-peers") || !strings.Contains(string(replay), "docs/cluster.md") {
 		t.Error("cmd/netreplay doc comment does not cover -peers / docs/cluster.md")
 	}
+
+	// Flags named in the docs must exist. The daemon's doc comment may
+	// only name netplaced flags; the page also covers netreplay -peers
+	// and the go test flags of its CI recipe.
+	daemonFlags := definedFlags(t, filepath.Join("cmd", "netplaced", "main.go"))
+	pageFlags := definedFlags(t, filepath.Join("cmd", "netreplay", "main.go"))
+	for f := range daemonFlags {
+		pageFlags[f] = true
+	}
+	for _, f := range []string{"-race", "-count", "-run"} {
+		pageFlags[f] = true
+	}
+	for _, f := range flagMentions(string(page)) {
+		if !pageFlags[f] {
+			t.Errorf("docs/cluster.md names %s, which no command defines", f)
+		}
+	}
+	for _, f := range flagMentions(packageDoc(t, filepath.Join("cmd", "netplaced", "main.go"))) {
+		if !daemonFlags[f] {
+			t.Errorf("cmd/netplaced doc comment names %s, which netplaced does not define", f)
+		}
+	}
+}
+
+// definedFlags collects the "-name" of every flag.String/Int/Bool/...
+// definition in a command's source, by walking its AST.
+func definedFlags(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			flags["-"+strings.Trim(lit.Value, "`\"")] = true
+		}
+		return true
+	})
+	if len(flags) == 0 {
+		t.Fatalf("%s defines no flags", path)
+	}
+	return flags
+}
+
+// flagMention matches a command-line flag as prose names it: a hyphen
+// at a word start (so "X-Netplace" and "re-home" do not count)
+// followed by a lowercase name of at least two characters.
+var flagMention = regexp.MustCompile("(?:^|[\\s`(\\[])(-[a-z][a-z0-9]+(?:-[a-z0-9]+)*)")
+
+// flagMentions lists the distinct flags text names, in order of first
+// appearance.
+func flagMentions(text string) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, m := range flagMention.FindAllStringSubmatch(text, -1) {
+		if !seen[m[1]] {
+			seen[m[1]] = true
+			out = append(out, m[1])
+		}
+	}
+	return out
+}
+
+// packageDoc returns a Go file's package doc comment.
+func packageDoc(t *testing.T, path string) string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Doc == nil {
+		t.Fatalf("%s has no package doc comment", path)
+	}
+	return f.Doc.Text()
 }
 
 // receiverType extracts the receiver's type name from a method receiver

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"net/http"
 	"os/exec"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -445,12 +446,33 @@ func TestBreakerFailFast(t *testing.T) {
 
 // TestDrainPeerHandoff retires a replica with the netplaced -drain-peer
 // admin command and verifies the handoff: the victim drains, the
-// survivor drops it from ring and peer set, and every instance the
-// victim owned is re-homed onto (and solvable from) the survivor.
+// survivors drop it from their membership — ring, peer set and
+// replication successor in one step — and every instance the victim
+// owned is re-homed onto (and solvable from) the survivors.
 func TestDrainPeerHandoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process suite; skipped in -short mode")
 	}
+	t.Run("n=2", testDrainPair)
+	t.Run("n=3", testDrainSuccessor)
+}
+
+// drainPeer runs the netplaced -drain-peer admin command against h.
+func drainPeer(t *testing.T, h *Harness, victim string) {
+	t.Helper()
+	out, err := exec.Command(h.bin, "-drain-peer", victim, "-cluster", strings.Join(h.URLs(), ",")).CombinedOutput()
+	if err != nil {
+		t.Fatalf("netplaced -drain-peer: %v\n%s", err, out)
+	}
+	if err := service.NewClient(victim, nil).Ready(context.Background()); err == nil {
+		t.Fatal("drained replica still answers /readyz 200")
+	}
+}
+
+// testDrainPair drains one of two replicas: the survivor serves every
+// instance and, with the victim stopped, its uploads push no snapshot
+// anywhere — it is alone, so it has no successor to fail against.
+func testDrainPair(t *testing.T) {
 	ctx := context.Background()
 	h, err := NewHarness(HarnessConfig{N: 2, BaseDir: t.TempDir()})
 	if err != nil {
@@ -466,7 +488,8 @@ func TestDrainPeerHandoff(t *testing.T) {
 	}
 
 	victim := h.URLs()[1]
-	ids := make([]string, 0, 4)
+	var ins []*core.Instance
+	var ids []string
 	victimOwned := ""
 	for k := 0; k < 32 && (len(ids) < 4 || victimOwned == ""); k++ {
 		in := partitionInstance(t, k)
@@ -478,7 +501,7 @@ func TestDrainPeerHandoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, up.ID)
+		ins, ids = append(ins, in), append(ids, up.ID)
 		if victimOwned == "" && sc.Owner(up.ID) == victim {
 			victimOwned = up.ID
 		}
@@ -495,15 +518,8 @@ func TestDrainPeerHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := exec.Command(h.bin, "-drain-peer", victim, "-cluster", strings.Join(h.URLs(), ",")).CombinedOutput()
-	if err != nil {
-		t.Fatalf("netplaced -drain-peer: %v\n%s", err, out)
-	}
+	drainPeer(t, h, victim)
 
-	// The victim is drained out of rotation.
-	if err := service.NewClient(victim, nil).Ready(ctx); err == nil {
-		t.Fatal("drained replica still answers /readyz 200")
-	}
 	// The survivor serves every instance — including the re-homed ones
 	// — and no longer counts the victim as a peer.
 	surv := service.NewClient(h.URLs()[0], nil)
@@ -518,5 +534,116 @@ func TestDrainPeerHandoff(t *testing.T) {
 	}
 	if st.Peers != 0 {
 		t.Fatalf("survivor live peer count=%d after drain, want 0", st.Peers)
+	}
+
+	// Stop the retired process and upload again: the survivor must not
+	// keep replicating to it.
+	if err := h.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range ins {
+		if _, err := surv.Upload(ctx, fmt.Sprintf("again-%d", i), in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err = surv.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st.ReplicaPushErrors != 0 {
+		t.Fatalf("survivor replica_push_errors=%d after uploads with the victim stopped, want 0", st.ReplicaPushErrors)
+	}
+}
+
+// testDrainSuccessor drains the middle of three replicas — the first
+// one's successor. The first replica's later uploads must be replicated
+// to the new ring successor, not the retired one, and a stale-opted
+// read of such a key with its owner blackholed must be answered from
+// that snapshot through the proxy.
+func testDrainSuccessor(t *testing.T) {
+	ctx := context.Background()
+	h, err := NewHarness(HarnessConfig{
+		N: 3, BaseDir: t.TempDir(),
+		FaultProxy: true,
+		ExtraArgs:  partitionFaultArgs(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer h.Stop()
+
+	// Successors follow sorted URL order: owner → victim → next → owner.
+	sorted := append([]string(nil), h.URLs()...)
+	sort.Strings(sorted)
+	owner, victim, next := sorted[0], sorted[1], sorted[2]
+	survivors := NewRingOf(0, owner, next)
+	var in *core.Instance
+	for k := 0; k < 64 && in == nil; k++ {
+		if cand := partitionInstance(t, k); survivors.Owner(service.InstanceIDFor(cand)) == owner {
+			in = cand
+		}
+	}
+	if in == nil {
+		t.Fatal("no owner-held instance among 64 candidates")
+	}
+	id := service.InstanceIDFor(in)
+
+	drainPeer(t, h, victim)
+
+	oc := service.NewClient(owner, nil)
+	if _, err := oc.Upload(ctx, "after-drain", in); err != nil {
+		t.Fatal(err)
+	}
+	holds := func(url string) bool {
+		t.Helper()
+		held, err := service.NewClient(url, nil).ReplicaInstances(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range held {
+			if e.ID == id {
+				return true
+			}
+		}
+		return false
+	}
+	if !holds(next) || holds(victim) {
+		t.Fatalf("snapshot of %s: on new successor=%v, on drained victim=%v; want true/false",
+			id, holds(next), holds(victim))
+	}
+	st, err := oc.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Peers != 1 || st.ReplicaPushErrors != 0 {
+		t.Fatalf("owner peers=%d replica_push_errors=%d after drain, want 1/0", st.Peers, st.ReplicaPushErrors)
+	}
+
+	// A forwarded read through the new successor lifts its prober's
+	// boot grace for the owner (see service.Breaker.Seen). Then blackhole
+	// the owner: the proxy on the new successor fails the stale-opted
+	// read over to its own snapshot.
+	entry := service.NewClient(next, &http.Client{Timeout: 2 * time.Second})
+	if _, err := entry.Info(ctx, id); err != nil {
+		t.Fatalf("forwarded read before the partition: %v", err)
+	}
+	if err := h.SetFault(replicaIndex(t, h, owner), FaultBlackhole); err != nil {
+		t.Fatal(err)
+	}
+	waitPeerOpen(t, entry, owner)
+	var res service.SolveResult
+	var lastErr error
+	for i := 0; i < 3; i++ {
+		if res, lastErr = entry.SolveStale(ctx, id, service.SolveOptions{}); lastErr == nil {
+			break
+		}
+	}
+	if lastErr != nil {
+		t.Fatalf("stale read with the owner blackholed: %v", lastErr)
+	}
+	if !res.Stale {
+		t.Fatal("failover read not marked stale")
 	}
 }

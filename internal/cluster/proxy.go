@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"netplace/internal/service"
@@ -47,60 +46,28 @@ func uploadInstanceID(body []byte) (string, error) {
 // stateless, at the price of a fan-out for misdirected session calls.
 // Everything else (list endpoints, probes, /statz) is local.
 type Proxy struct {
-	// mu guards ring membership: drains remove peers from the ring
-	// while requests are routing on it.
-	mu     sync.RWMutex
-	ring   *Ring
-	self   string
+	// m is the replica's membership, shared with the local server: it
+	// answers every ownership, successor and breaker question, so a
+	// drain applied by the server reroutes the proxy in the same call.
+	m      *Membership
 	inner  http.Handler
 	client *http.Client
-	// health tracks per-peer circuit breakers: forwards that fail feed
-	// them, and an open breaker makes routing fail fast (or fail over
-	// to the owner's replica successor for stale-tolerant reads)
-	// instead of waiting out a timeout per request.
-	health *service.PeerHealth
 	// maxBody bounds how much of a request body the proxy buffers to
 	// route or re-send it.
 	maxBody int64
 }
 
-// NewProxy wraps a local replica's handler in cluster routing. self is
-// this replica's own base URL as it appears in peers (it is added to the
-// ring if absent); peers lists every replica. httpClient may be nil for
-// http.DefaultClient.
-func NewProxy(self string, peers []string, inner http.Handler, httpClient *http.Client) *Proxy {
+// NewProxy wraps a local replica's handler in cluster routing over m,
+// whose Self must be this replica's URL. Forwards that fail feed the
+// peer's circuit breaker in m, and an open breaker makes routing fail
+// fast (or fail over to the owner's replica successor for
+// stale-tolerant reads) instead of waiting out a timeout per request.
+// httpClient may be nil for http.DefaultClient.
+func NewProxy(m *Membership, inner http.Handler, httpClient *http.Client) *Proxy {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	ring := NewRingOf(0, peers...)
-	ring.Add(self)
-	return &Proxy{
-		ring:    ring,
-		self:    strings.TrimRight(self, "/"),
-		inner:   inner,
-		client:  httpClient,
-		health:  service.NewPeerHealth(service.BreakerConfig{}),
-		maxBody: service.DefaultMaxUploadBytes,
-	}
-}
-
-// UseHealth shares a peer-health tracker with the proxy, so breakers
-// opened by the server's prober (or by other traffic) short-circuit
-// proxy forwards too. Call before serving traffic.
-func (p *Proxy) UseHealth(h *service.PeerHealth) {
-	if h != nil {
-		p.health = h
-	}
-}
-
-// removeMember drops a drained replica from the ring and forgets its
-// breaker, so no future request routes to it.
-func (p *Proxy) removeMember(url string) {
-	url = strings.TrimRight(url, "/")
-	p.mu.Lock()
-	p.ring.Remove(url)
-	p.mu.Unlock()
-	p.health.Remove(url)
+	return &Proxy{m: m, inner: inner, client: httpClient, maxBody: service.DefaultMaxUploadBytes}
 }
 
 // ServeHTTP implements http.Handler.
@@ -142,8 +109,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		p.routeByKey(w, r, req.InstanceID, body)
 	case seg[0] == "v1" && len(seg) >= 3 && seg[1] == "sessions":
 		p.localThenScatter(w, r)
-	case r.Method == http.MethodPost && len(seg) == 3 && seg[0] == "v1" && seg[1] == "cluster" && seg[2] == "drain":
-		p.handleDrain(w, r)
 	default:
 		p.inner.ServeHTTP(w, r)
 	}
@@ -159,10 +124,9 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // instance GET, solve, or cost) fail over to the owner's ring
 // successor, which holds a read-only replica of the owner's instances.
 func (p *Proxy) routeByKey(w http.ResponseWriter, r *http.Request, key string, body []byte) {
-	p.mu.RLock()
-	owner := p.ring.Owner(key)
-	p.mu.RUnlock()
-	if owner == p.self || owner == "" {
+	owner := p.m.Owner(key)
+	b := p.m.Breaker(owner)
+	if b == nil { // self, an empty ring, or a peer drained since the lookup
 		if body != nil {
 			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
@@ -177,7 +141,6 @@ func (p *Proxy) routeByKey(w http.ResponseWriter, r *http.Request, key string, b
 		}
 		body = buf
 	}
-	b := p.health.For(owner)
 	if !b.Allow() {
 		if p.failover(w, r, owner, body) {
 			return
@@ -229,14 +192,12 @@ func (p *Proxy) failover(w http.ResponseWriter, r *http.Request, owner string, b
 	if !staleEligible(r) {
 		return false
 	}
-	p.mu.RLock()
-	succ := p.ring.Successor(owner)
-	p.mu.RUnlock()
+	succ := p.m.SuccessorOf(owner)
 	if succ == "" || succ == owner {
 		return false
 	}
 	w.Header().Set(service.HeaderReplicaDown, owner)
-	if succ == p.self {
+	if succ == p.m.Self() {
 		if body != nil {
 			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
@@ -271,24 +232,6 @@ func writeReplicaDown(w http.ResponseWriter, replica string, retryAfter time.Dur
 	})
 }
 
-// handleDrain intercepts POST /v1/cluster/drain so a drain that names
-// a peer also removes it from this proxy's ring before the local
-// service updates its own peer set — routing and membership change
-// together.
-func (p *Proxy) handleDrain(w http.ResponseWriter, r *http.Request) {
-	body, err := p.buffer(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var req service.ClusterDrainRequest
-	if json.Unmarshal(body, &req) == nil && req.Peer != "" && strings.TrimRight(req.Peer, "/") != p.self {
-		p.removeMember(req.Peer)
-	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	p.inner.ServeHTTP(w, r)
-}
-
 // ScatterError is the 502 body for a session scatter that could not
 // rule the session out: at least one peer was unreachable (or its
 // breaker open), so the session may live on a replica that did not
@@ -319,15 +262,12 @@ func (p *Proxy) localThenScatter(w http.ResponseWriter, r *http.Request) {
 		rec.replay(w)
 		return
 	}
-	p.mu.RLock()
-	members := p.ring.Members()
-	p.mu.RUnlock()
 	unreachable := make(map[string]string)
-	for _, peer := range members {
-		if peer == p.self {
-			continue
+	for _, peer := range p.m.Peers() {
+		b := p.m.Breaker(peer)
+		if b == nil {
+			continue // drained mid-scatter
 		}
-		b := p.health.For(peer)
 		if !b.Allow() {
 			unreachable[peer] = "circuit breaker open"
 			continue
@@ -372,7 +312,7 @@ func (p *Proxy) forward(r *http.Request, peer string, body []byte) (*http.Respon
 		return nil, err
 	}
 	req.Header = r.Header.Clone()
-	req.Header.Set(service.HeaderForwarded, p.self)
+	req.Header.Set(service.HeaderForwarded, p.m.Self())
 	return p.client.Do(req)
 }
 

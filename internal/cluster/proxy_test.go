@@ -142,7 +142,7 @@ func TestScatterUnreachablePeer502(t *testing.T) {
 
 	// Port 1 is never listening: every forward fails at dial time.
 	dead := "http://127.0.0.1:1"
-	p := NewProxy("http://self.test", []string{"http://self.test", dead}, notFound, nil)
+	p := NewProxy(NewMembership("http://self.test", []string{"http://self.test", dead}, nil, service.BreakerConfig{}), notFound, nil)
 	rec := scatter(p)
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("scatter with unreachable peer answered %d, want 502", rec.Code)
@@ -176,7 +176,7 @@ func TestScatterUnreachablePeer502(t *testing.T) {
 	// Every peer answering 404 is a provable miss: clean 404, no error.
 	peer := httptest.NewServer(notFound)
 	defer peer.Close()
-	p2 := NewProxy("http://self.test", []string{"http://self.test", peer.URL}, notFound, nil)
+	p2 := NewProxy(NewMembership("http://self.test", []string{"http://self.test", peer.URL}, nil, service.BreakerConfig{}), notFound, nil)
 	if rec := scatter(p2); rec.Code != http.StatusNotFound {
 		t.Fatalf("all-404 scatter answered %d, want 404", rec.Code)
 	}

@@ -164,26 +164,18 @@ func (r *Ring) Len() int { return len(r.members) }
 // past the last back to the first), or "" when m is not a member or the
 // ring has fewer than two members. This — not ring-point adjacency — is
 // the cluster's replication successor rule: every layer (replica
-// pushes, proxy failover, ShardedClient degraded reads, the drain tool)
-// computes it identically from the member list alone, so they agree on
-// where an instance's read-only snapshot lives without coordination.
-// See docs/cluster.md "Failure modes & membership".
+// pushes, proxy failover, ShardedClient degraded reads) derives it from
+// the current members through Membership, so they agree on where an
+// instance's read-only snapshot lives, before and after a drain. See
+// docs/cluster.md "Failure modes & membership".
 func (r *Ring) Successor(m string) string {
-	return SuccessorOf(r.Members(), m)
-}
-
-// SuccessorOf is Ring.Successor on a plain member list (sorted
-// internally): the next member after self in sorted order, "" when self
-// is absent or fewer than two members remain.
-func SuccessorOf(members []string, self string) string {
+	members := r.Members()
 	if len(members) < 2 {
 		return ""
 	}
-	sorted := append([]string(nil), members...)
-	sort.Strings(sorted)
-	for i, m := range sorted {
-		if m == self {
-			return sorted[(i+1)%len(sorted)]
+	for i, x := range members {
+		if x == m {
+			return members[(i+1)%len(members)]
 		}
 	}
 	return ""

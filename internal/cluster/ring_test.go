@@ -199,16 +199,9 @@ func TestRingSuccessor(t *testing.T) {
 	if got := NewRingOf(0, "http://a").Successor("http://a"); got != "" {
 		t.Errorf("single-member Successor = %q, want empty", got)
 	}
-	// SuccessorOf is the coordination-free form every layer shares: it
-	// must agree with the ring and not mutate its input.
-	members := []string{"http://b", "http://a", "http://c"}
-	if got := SuccessorOf(members, "http://c"); got != "http://a" {
-		t.Errorf("SuccessorOf wrap = %q, want http://a", got)
-	}
-	if members[0] != "http://b" {
-		t.Error("SuccessorOf sorted its input in place")
-	}
-	if got := SuccessorOf(nil, "http://a"); got != "" {
-		t.Errorf("SuccessorOf(nil) = %q, want empty", got)
+	// Removing a member re-derives successors from the survivors.
+	r.Remove("http://b")
+	if got := r.Successor("http://a"); got != "http://c" {
+		t.Errorf("Successor after removal = %q, want http://c", got)
 	}
 }

@@ -27,10 +27,7 @@ import (
 // absorbed transparently: the retry reconnects and the server's
 // idempotent dedup discards anything the torn response already applied.
 type ShardedClient struct {
-	ring     *Ring
-	replicas []string
-	clients  map[string]*service.Client
-	health   *service.PeerHealth // passive per-replica breakers (no prober)
+	m *Membership // self-less: every replica is a peer
 }
 
 // NewShardedClient builds a sharded client over the replica base URLs
@@ -44,77 +41,37 @@ func NewShardedClient(replicas []string, httpClient *http.Client) (*ShardedClien
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("cluster: sharded client needs at least one replica")
 	}
-	sc := &ShardedClient{ring: NewRing(0), clients: make(map[string]*service.Client)}
-	sc.health = service.NewPeerHealth(service.BreakerConfig{})
-	for _, rep := range replicas {
-		rep = strings.TrimRight(rep, "/")
-		if !sc.ring.Add(rep) {
-			continue // duplicate URL
-		}
-		sc.replicas = append(sc.replicas, rep)
-		c := service.NewClient(rep, httpClient)
-		c.SetBreaker(sc.health.For(rep))
-		sc.clients[rep] = c
-	}
-	return sc, nil
+	return &ShardedClient{m: NewMembership("", replicas, httpClient, service.BreakerConfig{})}, nil
 }
 
 // SetRetryPolicy installs the retry policy on every per-replica client.
 // Call before sharing the client across goroutines.
-func (sc *ShardedClient) SetRetryPolicy(p service.RetryPolicy) {
-	for _, c := range sc.clients {
-		c.SetRetryPolicy(p)
-	}
-}
+func (sc *ShardedClient) SetRetryPolicy(p service.RetryPolicy) { sc.m.setRetryPolicy(p) }
 
 // SetBreakerConfig rebuilds the per-replica circuit breakers with cfg's
 // thresholds. Call before sharing the client across goroutines.
-func (sc *ShardedClient) SetBreakerConfig(cfg service.BreakerConfig) {
-	sc.health = service.NewPeerHealth(cfg)
-	for rep, c := range sc.clients {
-		c.SetBreaker(sc.health.For(rep))
-	}
-}
+func (sc *ShardedClient) SetBreakerConfig(cfg service.BreakerConfig) { sc.m.setBreakerConfig(cfg) }
 
 // Health exposes the per-replica breaker tracker, so callers can
 // inspect (or tests can manipulate) replica state.
-func (sc *ShardedClient) Health() *service.PeerHealth { return sc.health }
+func (sc *ShardedClient) Health() *service.PeerHealth { return sc.m.Health() }
 
 // Successor returns the replica holding the read-only snapshot of an
 // instance — the next member after its owner in sorted member order
 // (the same rule every server layer uses), "" on a single-replica ring.
 func (sc *ShardedClient) Successor(instanceID string) string {
-	return sc.ring.Successor(sc.ring.Owner(instanceID))
+	return sc.m.SuccessorOf(sc.m.Owner(instanceID))
 }
 
-// RemovePeer drops a replica from the client's ring and breaker
-// tracker — the client-side half of a cluster drain. Keys the removed
-// replica owned re-route to the survivors with the ring's
-// minimal-movement guarantee.
-func (sc *ShardedClient) RemovePeer(url string) {
-	url = strings.TrimRight(url, "/")
-	if !sc.ring.Remove(url) {
-		return
-	}
-	delete(sc.clients, url)
-	sc.health.Remove(url)
-	for i, rep := range sc.replicas {
-		if rep == url {
-			sc.replicas = append(sc.replicas[:i], sc.replicas[i+1:]...)
-			break
-		}
-	}
-}
-
-// Replicas returns the replica URLs in ring-membership order.
-func (sc *ShardedClient) Replicas() []string { return sc.ring.Members() }
+// Replicas returns the replica URLs in sorted order.
+func (sc *ShardedClient) Replicas() []string { return sc.m.Members() }
 
 // Owner returns the replica URL owning an instance id.
-func (sc *ShardedClient) Owner(instanceID string) string { return sc.ring.Owner(instanceID) }
+func (sc *ShardedClient) Owner(instanceID string) string { return sc.m.Owner(instanceID) }
 
 // clientFor returns the owning replica's client for an instance key.
 func (sc *ShardedClient) clientFor(instanceID string) *service.Client {
-	return sc.clients[sc.ring.Owner(instanceID)]
+	return sc.m.Client(sc.m.Owner(instanceID))
 }
 
 // splitSessionID parses the composite "sid@replicaURL" form minted by
@@ -125,8 +82,7 @@ func (sc *ShardedClient) splitSessionID(id string) (sid string, c *service.Clien
 	if !ok {
 		return "", nil, fmt.Errorf("cluster: session id %q lacks the @replica suffix minted by OpenSession", id)
 	}
-	c, ok = sc.clients[rep]
-	if !ok {
+	if c = sc.m.Client(rep); c == nil {
 		return "", nil, fmt.Errorf("cluster: session id %q names unknown replica %q", id, rep)
 	}
 	return sid, c, nil
@@ -163,18 +119,18 @@ func (sc *ShardedClient) Solve(ctx context.Context, id string, opts service.Solv
 // hash-verified read-only replica with Stale=true. Writes never fail
 // over; only this read path does.
 func (sc *ShardedClient) SolveStale(ctx context.Context, id string, opts service.SolveOptions) (service.SolveResult, error) {
-	owner := sc.ring.Owner(id)
-	if sc.health.For(owner).Ready() {
-		res, err := sc.clients[owner].SolveStale(ctx, id, opts)
+	owner := sc.m.Owner(id)
+	if b := sc.m.Breaker(owner); b != nil && b.Ready() {
+		res, err := sc.m.Client(owner).SolveStale(ctx, id, opts)
 		if err == nil || !replicaFault(err) {
 			return res, err
 		}
 	}
-	succ := sc.ring.Successor(owner)
+	succ := sc.m.SuccessorOf(owner)
 	if succ == "" {
 		return service.SolveResult{}, &service.ReplicaDownError{Replica: owner}
 	}
-	return sc.clients[succ].SolveDegraded(ctx, id, opts)
+	return sc.m.Client(succ).SolveDegraded(ctx, id, opts)
 }
 
 // replicaFault reports errors that mean "the replica is unreachable or
@@ -213,8 +169,8 @@ func (sc *ShardedClient) Simulate(ctx context.Context, id string, p encode.Place
 // instance and rewrites the returned SessionID to the composite
 // "sid@replicaURL" form every later session call routes by.
 func (sc *ShardedClient) OpenSession(ctx context.Context, instanceID string, cfg service.SessionConfig) (service.SessionInfo, error) {
-	owner := sc.ring.Owner(instanceID)
-	info, err := sc.clients[owner].OpenSession(ctx, instanceID, cfg)
+	owner := sc.m.Owner(instanceID)
+	info, err := sc.m.Client(owner).OpenSession(ctx, instanceID, cfg)
 	if err != nil {
 		return info, err
 	}
@@ -299,8 +255,8 @@ func (sc *ShardedClient) CloseSession(ctx context.Context, id string) error {
 func (sc *ShardedClient) Stats(ctx context.Context) (stats map[string]service.Stats, errs map[string]error) {
 	stats = make(map[string]service.Stats)
 	errs = make(map[string]error)
-	for _, rep := range sc.ring.Members() {
-		st, err := sc.clients[rep].Stats(ctx)
+	for _, rep := range sc.m.Members() {
+		st, err := sc.m.Client(rep).Stats(ctx)
 		if err != nil {
 			errs[rep] = err
 			continue
@@ -313,8 +269,8 @@ func (sc *ShardedClient) Stats(ctx context.Context) (stats map[string]service.St
 // Ready reports the first replica that fails its /readyz probe, or nil
 // when every replica is ready.
 func (sc *ShardedClient) Ready(ctx context.Context) error {
-	for _, rep := range sc.ring.Members() {
-		if err := sc.clients[rep].Ready(ctx); err != nil {
+	for _, rep := range sc.m.Members() {
+		if err := sc.m.Client(rep).Ready(ctx); err != nil {
 			return fmt.Errorf("cluster: replica %s not ready: %w", rep, err)
 		}
 	}

@@ -609,21 +609,11 @@ func (c *Client) ReplicaInstances(ctx context.Context) ([]ReplicaInstanceInfo, e
 // server's own URL) the server itself drains: final session snapshots
 // and WAL flushes are written and /readyz starts failing. With peer set
 // to another replica's URL, the server removes that replica from its
-// ring view and peer set. Idempotent in both directions.
+// membership. Idempotent in both directions.
 func (c *Client) ClusterDrain(ctx context.Context, peer string) (ClusterDrainResponse, error) {
 	var out ClusterDrainResponse
 	err := c.doRetry(ctx, http.MethodPost, "/v1/cluster/drain", nil,
 		ClusterDrainRequest{Peer: peer}, &out, true)
-	return out, err
-}
-
-// CacheProbe asks the server whether it holds a cached solve of
-// (instance content hash, options) — the cluster peer-cache protocol's
-// wire call (POST /v1/cache/probe). Servers answer from the result cache
-// only; a probe never triggers a solve.
-func (c *Client) CacheProbe(ctx context.Context, hash string, opts SolveOptions) (CacheProbeResponse, error) {
-	var out CacheProbeResponse
-	err := c.do(ctx, http.MethodPost, "/v1/cache/probe", CacheProbeRequest{Hash: hash, Options: opts}, &out)
 	return out, err
 }
 

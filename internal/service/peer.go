@@ -2,17 +2,14 @@ package service
 
 import (
 	"context"
-	"net/http"
-	"sync"
-	"time"
+	"errors"
 )
 
 // This file is the server half of netplaced clustering (see
-// docs/cluster.md): the peer solve-cache probe endpoint, the outgoing
-// probe path the engine consults before running a solver, and the
+// docs/cluster.md): the membership the server reads and the
 // cluster-wide /statz merge. The routing halves — consistent-hash ring,
-// ShardedClient, stateless proxy — live in internal/cluster, which
-// builds on this package.
+// the Membership implementation, ShardedClient, stateless proxy — live
+// in internal/cluster, which builds on this package.
 
 // HeaderForwarded is the proxy hop guard: a replica forwarding a request
 // it does not own sets it, and a replica receiving it serves locally no
@@ -20,220 +17,54 @@ import (
 // disagreement degrades to one extra hop, never a forwarding loop.
 const HeaderForwarded = "X-Netplace-Forwarded"
 
-// CacheProbeRequest is the body of POST /v1/cache/probe: a peer asking
-// whether this replica has already solved (hash, options). Hash is the
-// instance content hash (InstanceInfo.Hash), not the registry id, so a
-// replica can answer even when it registered the instance under a label.
-type CacheProbeRequest struct {
-	Hash    string       `json:"hash"`
-	Options SolveOptions `json:"options,omitzero"`
+// Membership is the cluster's replica set as one replica sees it. Its
+// only implementation is internal/cluster.Membership, which owns the
+// consistent-hash ring; the server reads it through this interface
+// because internal/cluster imports this package. One value is shared
+// per process by the server and the forwarding proxy, so a drain
+// changes routing, replication, the stats fan-out and the health
+// prober in one call.
+type Membership interface {
+	// Self is this replica's advertised base URL.
+	Self() string
+	// Peers lists the current members other than Self, sorted.
+	Peers() []string
+	// Successor is the member that holds this replica's read-only
+	// instance snapshots, derived from the current members on every
+	// call; "" when there is none.
+	Successor() string
+	// Client returns the shared, breaker-gated client for a current
+	// member, nil for anyone else.
+	Client(url string) *Client
+	// Health is the per-peer circuit breaker set.
+	Health() *PeerHealth
+	// Remove drops a member — the only mutation — reporting whether it
+	// was one.
+	Remove(url string) bool
 }
 
-// CacheProbeResponse is the probe answer. Found is false when this
-// replica has no cached result for the key; Result is set iff Found.
-type CacheProbeResponse struct {
-	Found  bool         `json:"found"`
-	Result *SolveResult `json:"result,omitempty"`
-}
-
-// handleCacheProbe is POST /v1/cache/probe: answer a peer's solve-cache
-// probe straight from the result cache. It never solves, never blocks on
-// the worker pool, and never probes further peers — the caller is a
-// singleflight leader on its own replica, so anything but a map lookup
-// here would cascade load instead of collapsing it.
-func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
-	var req CacheProbeRequest
-	if err := decodeBody(w, r, s.cfg.MaxUploadBytes, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	opts, err := req.Options.normalize()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	res, ok := s.engine.cachedResult(req.Hash, opts)
-	if !ok {
-		writeJSON(w, http.StatusOK, CacheProbeResponse{})
-		return
-	}
-	s.counters.peerServed.Add(1)
-	writeJSON(w, http.StatusOK, CacheProbeResponse{Found: true, Result: res})
-}
-
-// cachedResult looks a (hash, normalized options) pair up in the result
-// cache without counting a hit or miss — the probe answers on behalf of
-// a peer's solve, not a local one.
-func (e *Engine) cachedResult(hash string, opts SolveOptions) (*SolveResult, bool) {
-	v, ok := e.cache.Get(hash + "|" + opts.key())
-	if !ok {
-		return nil, false
-	}
-	out := *v.(*SolveResult)
-	return &out, true
-}
-
-// peerSet holds the probe clients for the configured peers. Built at
-// server construction and mutated only by drain-driven membership
-// removal; the probe clients carry no retry policy (a probe is an
-// optimization — on any fault the solve just runs locally) and every
-// probe is bounded by Config.PeerTimeout.
-type peerSet struct {
-	timeout time.Duration
-
-	mu      sync.Mutex
-	urls    []string
-	clients []*Client
-}
-
-// snapshot returns consistent copies of the peer URL and client lists.
-func (ps *peerSet) snapshot() ([]string, []*Client) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	urls := make([]string, len(ps.urls))
-	copy(urls, ps.urls)
-	clients := make([]*Client, len(ps.clients))
-	copy(clients, ps.clients)
-	return urls, clients
-}
-
-// remove drops a peer from the set, reporting whether it was present.
-func (ps *peerSet) remove(url string) bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for i, u := range ps.urls {
-		if u == url {
-			ps.urls = append(ps.urls[:i], ps.urls[i+1:]...)
-			ps.clients = append(ps.clients[:i], ps.clients[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// len is the current peer count (the live /statz peers gauge).
-func (ps *peerSet) len() int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return len(ps.urls)
-}
-
-// setupPeers filters SelfURL out of cfg.Peers and builds one probe
-// client per remaining peer, every client sharing the server's
-// PeerHealth breakers; it wires the engine's peer-probe hook when
-// PeerCache is on, builds the successor push client when SuccessorURL
-// is set, and starts the background /readyz prober.
-func (s *Server) setupPeers() {
-	var urls []string
-	for _, u := range s.cfg.Peers {
-		if u != "" && u != s.cfg.SelfURL {
-			urls = append(urls, u)
-		}
-	}
-	succ := s.cfg.SuccessorURL
-	if succ == s.cfg.SelfURL {
-		succ = ""
-	}
-	if len(urls) == 0 && succ == "" {
-		return
-	}
-	bcfg := BreakerConfig{Threshold: s.cfg.BreakerThreshold, Backoff: s.cfg.BreakerBackoff}
-	s.health = NewPeerHealth(bcfg, urls...)
-	ps := &peerSet{urls: urls, timeout: s.cfg.PeerTimeout}
-	for _, u := range urls {
-		pc := NewClient(u, nil)
-		pc.SetBreaker(s.health.For(u))
-		ps.clients = append(ps.clients, pc)
-	}
-	s.peers = ps
-	if succ != "" {
-		sc := NewClient(succ, nil)
-		sc.SetBreaker(s.health.For(succ))
-		s.successor = sc
-		s.successorURL = succ
-	}
-	if s.cfg.PeerCache {
-		s.engine.peerProbe = s.probePeers
-	}
+// Join makes the server a replica of m: successor pushes, the
+// /statz?cluster=1 fan-out, the peer form of POST /v1/cluster/drain and
+// the background /readyz prober (every Config.ProbeInterval) all read
+// m from now on. Call once, before serving traffic.
+func (s *Server) Join(m Membership) {
+	s.members = m
 	if s.cfg.ProbeInterval > 0 {
-		s.health.StartProber(s.cfg.ProbeInterval, s.cfg.PeerTimeout)
+		m.Health().StartProber(s.cfg.ProbeInterval, s.cfg.PeerTimeout)
 	}
 }
 
-// removePeer drops a peer from the probe set and its breaker from the
-// health tracker — the service half of a cluster drain. Reports whether
-// the peer was known.
-func (s *Server) removePeer(url string) bool {
-	if s.peers == nil {
-		return false
+// successor resolves the current successor and its client; both are
+// empty on a standalone server or a single-member cluster.
+func (s *Server) successor() (string, *Client) {
+	if s.members == nil {
+		return "", nil
 	}
-	ok := s.peers.remove(url)
-	if s.health != nil {
-		s.health.Remove(url)
+	url := s.members.Successor()
+	if url == "" {
+		return "", nil
 	}
-	return ok
-}
-
-// probeConcurrency bounds the parallel peer cache-probe fan-out: enough
-// to hide one slow peer behind the others, small enough that a
-// cache-miss storm cannot multiply probe load quadratically.
-const probeConcurrency = 4
-
-// probePeers asks the peers in parallel (bounded by probeConcurrency)
-// whether one of them already solved (hash, opts), returning the first
-// cached result found; the first hit cancels the remaining probes.
-// Peers whose circuit breaker is not Ready are skipped outright — a
-// down peer must cost nothing, not a timeout. Each launched probe keeps
-// its own Config.PeerTimeout bound, and every per-peer error is
-// swallowed: a probe can only save work, never fail the solve.
-func (s *Server) probePeers(ctx context.Context, hash string, opts SolveOptions) (*SolveResult, bool) {
-	urls, clients := s.peers.snapshot()
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan *SolveResult, len(clients))
-	sem := make(chan struct{}, probeConcurrency)
-	var wg sync.WaitGroup
-	for i, pc := range clients {
-		if !s.health.For(urls[i]).Ready() {
-			continue
-		}
-		wg.Add(1)
-		go func(pc *Client) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-pctx.Done():
-				return
-			}
-			s.counters.peerProbes.Add(1)
-			s.counters.peerProbeInflight.Add(1)
-			defer s.counters.peerProbeInflight.Add(-1)
-			cctx, ccancel := context.WithTimeout(pctx, s.peers.timeout)
-			defer ccancel()
-			var resp CacheProbeResponse
-			err := pc.do(cctx, http.MethodPost, "/v1/cache/probe",
-				CacheProbeRequest{Hash: hash, Options: opts}, &resp)
-			if err != nil || !resp.Found || resp.Result == nil {
-				return
-			}
-			select {
-			case results <- resp.Result:
-			default: // a hit already won; drop the duplicate
-			}
-		}(pc)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	res, ok := <-results
-	if !ok {
-		return nil, false
-	}
-	cancel() // first hit cancels the stragglers
-	s.counters.peerHits.Add(1)
-	return res, true
+	return url, s.members.Client(url)
 }
 
 // clusterStats fans the plain /statz request out to every peer and
@@ -242,38 +73,42 @@ func (s *Server) probePeers(ctx context.Context, hash string, opts SolveOptions)
 // other cannot recurse. Unreachable peers degrade to an entry in Errors
 // rather than failing the request.
 func (s *Server) clusterStats(ctx context.Context) ClusterStats {
-	self := s.cfg.SelfURL
-	if self == "" {
-		self = "self"
+	self := "self"
+	var peers []string
+	if s.members != nil {
+		peers = s.members.Peers()
+		if u := s.members.Self(); u != "" {
+			self = u
+		}
 	}
 	out := ClusterStats{Self: self, Replicas: map[string]Stats{self: s.Stats()}}
-	if s.peers != nil {
-		urls, clients := s.peers.snapshot()
-		type fetched struct {
-			url string
-			st  Stats
-			err error
-		}
-		results := make(chan fetched, len(clients))
-		for i, pc := range clients {
-			go func(url string, pc *Client) {
-				pctx, cancel := context.WithTimeout(ctx, s.peers.timeout)
+	type fetched struct {
+		url string
+		st  Stats
+		err error
+	}
+	results := make(chan fetched, len(peers))
+	for _, url := range peers {
+		go func(url string) {
+			f := fetched{url: url, err: errNotMember}
+			if pc := s.members.Client(url); pc != nil {
+				pctx, cancel := context.WithTimeout(ctx, s.cfg.PeerTimeout)
 				defer cancel()
-				st, err := pc.Stats(pctx)
-				results <- fetched{url: url, st: st, err: err}
-			}(urls[i], pc)
-		}
-		for range clients {
-			f := <-results
-			if f.err != nil {
-				if out.Errors == nil {
-					out.Errors = map[string]string{}
-				}
-				out.Errors[f.url] = f.err.Error()
-				continue
+				f.st, f.err = pc.Stats(pctx)
 			}
-			out.Replicas[f.url] = f.st
+			results <- f
+		}(url)
+	}
+	for range peers {
+		f := <-results
+		if f.err != nil {
+			if out.Errors == nil {
+				out.Errors = map[string]string{}
+			}
+			out.Errors[f.url] = f.err.Error()
+			continue
 		}
+		out.Replicas[f.url] = f.st
 	}
 	for _, st := range out.Replicas {
 		out.Totals.Replicas++
@@ -281,9 +116,6 @@ func (s *Server) clusterStats(ctx context.Context) ClusterStats {
 		out.Totals.SolvesTotal += st.SolvesTotal
 		out.Totals.CacheHits += st.CacheHits
 		out.Totals.CacheMisses += st.CacheMisses
-		out.Totals.PeerProbes += st.PeerProbes
-		out.Totals.PeerHits += st.PeerHits
-		out.Totals.PeerServed += st.PeerServed
 		out.Totals.SessionsOpen += st.SessionsOpen
 		out.Totals.SessionEvents += st.SessionEvents
 		out.Totals.SessionEpochs += st.SessionEpochs
@@ -291,3 +123,7 @@ func (s *Server) clusterStats(ctx context.Context) ClusterStats {
 	}
 	return out
 }
+
+// errNotMember answers the stats fan-out for a peer removed between
+// Peers and Client.
+var errNotMember = errors.New("service: replica left the cluster")

@@ -45,7 +45,7 @@ type ReplicaInstanceInfo struct {
 // ClusterDrainRequest is the body of POST /v1/cluster/drain. Peer empty
 // (or equal to the serving replica's own URL) drains the serving
 // replica itself; otherwise the serving replica removes Peer from its
-// ring view and peer set.
+// membership.
 type ClusterDrainRequest struct {
 	Peer string `json:"peer,omitempty"`
 }
@@ -181,21 +181,21 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	writeError(w, ErrNotFound)
 }
 
-// pushToSuccessor replicates an accepted upload to the configured
+// pushToSuccessor replicates an accepted upload to the current
 // successor, best-effort and bounded by PeerTimeout: replication must
 // never fail or slow an upload past the timeout, it only widens the
 // window a failover read can cover. Failures are counted and logged;
 // the next re-upload (or the successor's recovery) heals the gap.
 func (s *Server) pushToSuccessor(id, name string, in *core.Instance) {
-	if s.successor == nil {
+	url, c := s.successor()
+	if c == nil {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PeerTimeout)
 	defer cancel()
-	err := s.successor.PushReplica(ctx, id, InstanceExport{Name: name, Instance: encode.InstanceJSONOf(in)})
-	if err != nil {
+	if err := c.PushReplica(ctx, id, InstanceExport{Name: name, Instance: encode.InstanceJSONOf(in)}); err != nil {
 		s.counters.replicaPushErrors.Add(1)
-		log.Printf("netplaced: replica push %s to %s failed: %v", id, s.successorURL, err)
+		log.Printf("netplaced: replica push %s to %s failed: %v", id, url, err)
 		return
 	}
 	s.counters.replicaPushes.Add(1)
@@ -204,14 +204,15 @@ func (s *Server) pushToSuccessor(id, name string, in *core.Instance) {
 // dropFromSuccessor propagates an instance delete to the successor's
 // snapshot store, best-effort like the push.
 func (s *Server) dropFromSuccessor(id string) {
-	if s.successor == nil {
+	url, c := s.successor()
+	if c == nil {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PeerTimeout)
 	defer cancel()
-	if err := s.successor.DeleteReplica(ctx, id); err != nil {
+	if err := c.DeleteReplica(ctx, id); err != nil {
 		s.counters.replicaPushErrors.Add(1)
-		log.Printf("netplaced: replica delete %s at %s failed: %v", id, s.successorURL, err)
+		log.Printf("netplaced: replica delete %s at %s failed: %v", id, url, err)
 	}
 }
 
@@ -287,11 +288,12 @@ func (s *Server) replicaInfo(w http.ResponseWriter, r *http.Request, id string) 
 // handleClusterDrain is POST /v1/cluster/drain — the administrative
 // membership change behind netplaced -drain-peer. Self form (peer empty
 // or this replica's URL): flush every open session to durable storage
-// (final snapshot + WAL rotation, PR 7's Drain) and start failing
-// /readyz so load balancers stop routing here. Peer form: drop the
-// named replica from this replica's peer set and breaker tracker; the
-// forwarding proxy intercepts the same call to shrink its ring view
-// with the ring's minimal-movement guarantee.
+// (final snapshot + WAL rotation, see Drain) and start failing /readyz
+// so load balancers stop routing here. Peer form: one
+// Membership.Remove call, after which the forwarding proxy routes on
+// the shrunk ring (minimal movement), the successor is re-derived from
+// the survivors, and the prober and stats fan-out no longer see the
+// peer.
 func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 	var req ClusterDrainRequest
 	if r.ContentLength != 0 {
@@ -300,8 +302,10 @@ func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.Peer != "" && req.Peer != s.cfg.SelfURL {
-		s.removePeer(req.Peer)
+	if req.Peer != "" && (s.members == nil || req.Peer != s.members.Self()) {
+		if s.members != nil {
+			s.members.Remove(req.Peer)
+		}
 		writeJSON(w, http.StatusOK, ClusterDrainResponse{Status: "removed", Peer: req.Peer})
 		return
 	}

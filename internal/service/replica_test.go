@@ -2,12 +2,13 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,18 +16,75 @@ import (
 	"netplace/internal/encode"
 )
 
-// newReplicatedPair boots successor B and primary A (B is A's peer and
-// successor) on real listeners, probers off for determinism.
+// listMembership is a fixed-list Membership for in-process tests: the
+// ring-backed implementation lives in internal/cluster, which imports
+// this package. Its successor is the first remaining peer.
+type listMembership struct {
+	self   string
+	health *PeerHealth
+
+	mu      sync.Mutex
+	peers   []string
+	clients map[string]*Client
+}
+
+// newListMembership builds a listMembership whose peer clients share
+// one breaker set, like the production membership's.
+func newListMembership(self string, peers ...string) *listMembership {
+	m := &listMembership{self: self, health: NewPeerHealth(BreakerConfig{}), peers: peers,
+		clients: make(map[string]*Client)}
+	for _, u := range peers {
+		c := NewClient(u, nil)
+		c.SetBreaker(m.health.For(u))
+		m.clients[u] = c
+	}
+	return m
+}
+
+func (m *listMembership) Self() string        { return m.self }
+func (m *listMembership) Health() *PeerHealth { return m.health }
+
+func (m *listMembership) Peers() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]string(nil), m.peers...)
+}
+
+func (m *listMembership) Successor() string {
+	if peers := m.Peers(); len(peers) > 0 {
+		return peers[0]
+	}
+	return ""
+}
+
+func (m *listMembership) Client(url string) *Client {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.clients[url]
+}
+
+func (m *listMembership) Remove(url string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.clients[url] == nil {
+		return false
+	}
+	delete(m.clients, url)
+	m.peers = slices.DeleteFunc(m.peers, func(u string) bool { return u == url })
+	m.health.Remove(url)
+	return true
+}
+
+// newReplicatedPair boots successor B and primary A (B is A's only
+// peer, hence its successor) on real listeners, probers off for
+// determinism.
 func newReplicatedPair(t *testing.T) (a, b *Server, ca, cb *Client) {
 	t.Helper()
 	b = New(Config{ProbeInterval: -1})
 	tsB := httptest.NewServer(b.Handler())
 	t.Cleanup(tsB.Close)
-	a = New(Config{
-		Peers:         []string{tsB.URL},
-		SuccessorURL:  tsB.URL,
-		ProbeInterval: -1,
-	})
+	a = New(Config{ProbeInterval: -1})
+	a.Join(newListMembership("http://a.test", tsB.URL))
 	tsA := httptest.NewServer(a.Handler())
 	t.Cleanup(tsA.Close)
 	t.Cleanup(a.Close)
@@ -150,22 +208,36 @@ func exportOf(t *testing.T, in *core.Instance) InstanceExport {
 }
 
 func TestClusterDrainEndpoint(t *testing.T) {
-	a, _, ca, _ := newReplicatedPair(t)
+	a, b, ca, _ := newReplicatedPair(t)
 	ctx := context.Background()
 
-	// Peer form: the named replica leaves this replica's peer set.
-	if a.Stats().Peers != 1 {
-		t.Fatalf("peers=%d before drain, want 1", a.Stats().Peers)
+	// Peer form: the named replica leaves this replica's membership.
+	peer := a.members.Peers()[0]
+	if a.Stats().Peers != 1 || a.Stats().PeerHealth[peer] != "closed" {
+		t.Fatalf("stats before drain: peers=%d peer_health=%v, want 1 closed peer",
+			a.Stats().Peers, a.Stats().PeerHealth)
 	}
-	resp, err := ca.ClusterDrain(ctx, a.cfg.Peers[0])
+	resp, err := ca.ClusterDrain(ctx, peer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != "removed" || resp.Peer != a.cfg.Peers[0] {
+	if resp.Status != "removed" || resp.Peer != peer {
 		t.Fatalf("peer drain response %+v", resp)
 	}
-	if got := a.Stats().Peers; got != 0 {
-		t.Fatalf("peers=%d after drain, want 0", got)
+	if st := a.Stats(); st.Peers != 0 || len(st.PeerHealth) != 0 {
+		t.Fatalf("stats after drain: peers=%d peer_health=%v, want none", st.Peers, st.PeerHealth)
+	}
+	// The successor is read from the membership on every upload, so the
+	// drained peer receives no more snapshots.
+	if _, err := ca.Upload(ctx, "after-drain", pathInstance(t, 8, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Stats(); st.ReplicaPushes != 0 || st.ReplicaPushErrors != 0 {
+		t.Fatalf("upload after drain pushed: replica_pushes=%d errors=%d, want 0/0",
+			st.ReplicaPushes, st.ReplicaPushErrors)
+	}
+	if got := b.Stats().ReplicaInstances; got != 0 {
+		t.Fatalf("drained peer holds %d snapshots, want 0", got)
 	}
 	// Idempotent: removing it again still succeeds.
 	if _, err := ca.ClusterDrain(ctx, resp.Peer); err != nil {
@@ -204,11 +276,8 @@ func TestClusterStatsErrors(t *testing.T) {
 	t.Cleanup(tsB.Close)
 
 	timeout := 400 * time.Millisecond
-	a := New(Config{
-		Peers:         []string{tsB.URL, hang1, hang2},
-		PeerTimeout:   timeout,
-		ProbeInterval: -1,
-	})
+	a := New(Config{PeerTimeout: timeout, ProbeInterval: -1})
+	a.Join(newListMembership("", tsB.URL, hang1, hang2))
 	tsA := httptest.NewServer(a.Handler())
 	t.Cleanup(tsA.Close)
 	ca := NewClient(tsA.URL, tsA.Client())
@@ -266,94 +335,17 @@ func hangListener(t *testing.T) string {
 	return "http://" + ln.Addr().String()
 }
 
-// TestProbePeersSkipsOpenBreaker: the peer-cache probe fan-out skips
-// peers whose breaker is open instead of burning the per-peer timeout,
-// and the in-flight gauge returns to zero.
-func TestProbePeersSkipsOpenBreaker(t *testing.T) {
-	hang := hangListener(t)
-	s := New(Config{
-		Peers:         []string{hang},
-		PeerCache:     true,
-		PeerTimeout:   2 * time.Second,
-		ProbeInterval: -1,
-	})
-	t.Cleanup(s.Close)
-	br := s.health.For(hang)
-	for i := 0; i < DefaultBreakerThreshold; i++ {
-		br.Failure()
-	}
-	start := time.Now()
-	_, ok := s.probePeers(context.Background(), "deadbeef", SolveOptions{})
-	if ok {
-		t.Fatal("probe of a down peer reported a hit")
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("probe with an open breaker took %v — it should have been skipped", elapsed)
-	}
-	st := s.Stats()
-	if st.PeerProbes != 0 {
-		t.Fatalf("peer_probes=%d, want 0 (skipped, not attempted)", st.PeerProbes)
-	}
-	if st.PeerProbeInflight != 0 {
-		t.Fatalf("peer_probe_inflight=%d, want 0", st.PeerProbeInflight)
-	}
-	if st.PeerHealth[hang] != "open" {
-		t.Fatalf("peer_health[%s]=%q, want open", hang, st.PeerHealth[hang])
-	}
-}
-
-// TestProbePeersFirstHitWins: with one hanging peer and one that
-// answers from cache, the parallel fan-out returns the hit without
-// waiting out the hanging peer's timeout.
-func TestProbePeersFirstHitWins(t *testing.T) {
-	hang := hangListener(t)
-	hit := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/cache/probe" {
-			http.NotFound(w, r)
-			return
-		}
-		json.NewEncoder(w).Encode(CacheProbeResponse{ //nolint:errcheck
-			Found: true, Result: &SolveResult{InstanceID: "cached-elsewhere"}})
-	}))
-	t.Cleanup(hit.Close)
-
-	timeout := 2 * time.Second
-	s := New(Config{
-		Peers:         []string{hang, hit.URL},
-		PeerCache:     true,
-		PeerTimeout:   timeout,
-		ProbeInterval: -1,
-	})
-	t.Cleanup(s.Close)
-	start := time.Now()
-	res, ok := s.probePeers(context.Background(), "deadbeef", SolveOptions{})
-	elapsed := time.Since(start)
-	if !ok || res.InstanceID != "cached-elsewhere" {
-		t.Fatalf("probe hit not returned: ok=%v res=%+v", ok, res)
-	}
-	if elapsed > timeout {
-		t.Fatalf("first hit took %v — it must cancel, not wait for, the hanging peer", elapsed)
-	}
-	st := s.Stats()
-	if st.PeerHits != 1 {
-		t.Fatalf("peer_hits=%d, want 1", st.PeerHits)
-	}
-}
-
 // TestExportAndReplicaList covers the drain tool's read side: exports
 // from the registry and from the snapshot store answer the same bytes,
 // the snapshot listing names what is held, and an unknown id is a 404.
 func TestExportAndReplicaList(t *testing.T) {
-	a, _, ca, cb := newReplicatedPair(t)
+	_, _, ca, cb := newReplicatedPair(t)
 	ctx := context.Background()
 	in := pathInstance(t, 9, 4)
 
 	up, err := ca.Upload(ctx, "exported", in)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if a.PeerHealth() == nil {
-		t.Fatal("server exposes no peer health tracker")
 	}
 
 	// Owner export comes from the registry, with the label.
@@ -399,37 +391,5 @@ func TestExportAndReplicaList(t *testing.T) {
 	}
 	if own, err := ca.ReplicaInstances(ctx); err != nil || len(own) != 0 {
 		t.Fatalf("owner replica listing %v (err %v), want empty", own, err)
-	}
-}
-
-// TestCacheProbeEndpoint covers the peer-cache wire call end to end: a
-// probe for an unsolved hash is a miss, a probe after a solve is a hit
-// answered from the cache (peer_served counts it), and the hit result
-// carries the cached placement.
-func TestCacheProbeEndpoint(t *testing.T) {
-	a, _, ca, _ := newReplicatedPair(t)
-	ctx := context.Background()
-	in := pathInstance(t, 9, 4)
-
-	up, err := ca.Upload(ctx, "probed", in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := ca.CacheProbe(ctx, up.Hash, SolveOptions{}); err != nil || res.Found {
-		t.Fatalf("probe before any solve: found=%v err=%v, want a miss", res.Found, err)
-	}
-	want, err := ca.Solve(ctx, up.ID, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ca.CacheProbe(ctx, up.Hash, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found || res.Result == nil || !reflect.DeepEqual(res.Result.Placement, want.Placement) {
-		t.Fatalf("probe after solve: %+v, want the cached placement", res)
-	}
-	if got := a.Stats().PeerServed; got != 1 {
-		t.Fatalf("peer_served=%d after a probe hit, want 1", got)
 	}
 }

@@ -46,7 +46,6 @@ var ErrInternal = errors.New("service: internal error")
 //	POST   /v1/sessions/{id}/events   stream request events into a session
 //	POST   /v1/sessions/{id}/flush    close the open partial epoch
 //	GET    /v1/sessions/{id}/placement  current adaptive placement + stats
-//	POST   /v1/cache/probe            peer solve-cache probe {hash, options}
 //	PUT    /v1/replica/instances/{id} store a read-only instance snapshot
 //	DELETE /v1/replica/instances/{id} drop a snapshot (idempotent)
 //	GET    /v1/replica/instances      list held snapshots
@@ -62,13 +61,9 @@ type Server struct {
 	counters counters
 	start    time.Time
 	mux      *http.ServeMux
-	store    *store   // nil: in-memory server (New, or Open without DataDir)
-	peers    *peerSet // nil: standalone (no Config.Peers)
-
-	health       *PeerHealth   // nil: standalone; per-peer breakers + prober
-	successor    *Client       // nil: no Config.SuccessorURL; snapshot pushes
-	successorURL string        // resolved Config.SuccessorURL ("" when self)
-	replicas     *replicaStore // read-only snapshots held for the predecessor
+	store    *store        // nil: in-memory server (New, or Open without DataDir)
+	members  Membership    // nil: standalone (see Join)
+	replicas *replicaStore // read-only snapshots held for the predecessor
 
 	ready    atomic.Bool // recovery finished; cleared never (drain uses draining)
 	draining atomic.Bool // BeginDrain called: /readyz answers 503
@@ -98,7 +93,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/sessions/{id}/events", s.handleSessionEvents)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/flush", s.handleSessionFlush)
 	s.mux.HandleFunc("GET /v1/sessions/{id}/placement", s.handleSessionPlacement)
-	s.mux.HandleFunc("POST /v1/cache/probe", s.handleCacheProbe)
 	s.mux.HandleFunc("PUT /v1/replica/instances/{id}", s.handleReplicaPush)
 	s.mux.HandleFunc("DELETE /v1/replica/instances/{id}", s.handleReplicaDelete)
 	s.mux.HandleFunc("GET /v1/replica/instances", s.handleReplicaList)
@@ -106,7 +100,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 	s.mux.HandleFunc("GET /statz", s.handleStats)
-	s.setupPeers()
 	// New builds a complete in-memory server: ready immediately. Open
 	// re-clears the flag while recovery replays WALs.
 	s.ready.Store(true)
@@ -138,13 +131,14 @@ func Open(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close flushes and closes every open session WAL. The server must not
+// Close stops the peer prober Join started, then flushes and closes
+// every open session WAL. The server must not
 // be used afterwards; a server killed without Close loses nothing acked
 // (that is the recovery property the crash tests assert), Close merely
 // releases the file handles promptly.
 func (s *Server) Close() {
-	if s.health != nil {
-		s.health.Close()
+	if s.members != nil {
+		s.members.Health().Close()
 	}
 	for _, sess := range s.sessions.list() {
 		sess.mu.Lock()
@@ -163,12 +157,6 @@ func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serveHTTP) }
 
 // Engine returns the server's solve engine, for embedding and tests.
 func (s *Server) Engine() *Engine { return s.engine }
-
-// PeerHealth returns the server's per-peer breaker tracker, nil on a
-// standalone server. The forwarding proxy shares it (Proxy.UseHealth)
-// so the proxy and the peer-probe path agree on which replicas are
-// down.
-func (s *Server) PeerHealth() *PeerHealth { return s.health }
 
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
@@ -236,11 +224,6 @@ func (s *Server) Stats() Stats {
 		DeadlineRejects:      s.counters.deadlineRejects.Load(),
 		DedupedBatches:       s.counters.dedupedBatches.Load(),
 		Peers:                s.livePeers(),
-		PeerCache:            s.cfg.PeerCache,
-		PeerProbes:           s.counters.peerProbes.Load(),
-		PeerHits:             s.counters.peerHits.Load(),
-		PeerServed:           s.counters.peerServed.Load(),
-		PeerProbeInflight:    s.counters.peerProbeInflight.Load(),
 		PeerHealth:           s.peerHealthStates(),
 		BreakerOpens:         s.breakerOpens(),
 		ReplicaInstances:     s.replicas.len(),
@@ -252,27 +235,27 @@ func (s *Server) Stats() Stats {
 
 // livePeers is the current peer count — membership drains shrink it.
 func (s *Server) livePeers() int {
-	if s.peers == nil {
+	if s.members == nil {
 		return 0
 	}
-	return s.peers.len()
+	return len(s.members.Peers())
 }
 
 // peerHealthStates snapshots the breaker states for /statz, nil on a
 // standalone server.
 func (s *Server) peerHealthStates() map[string]string {
-	if s.health == nil {
+	if s.members == nil {
 		return nil
 	}
-	return s.health.States()
+	return s.members.Health().States()
 }
 
 // breakerOpens is the total breaker open-transition count.
 func (s *Server) breakerOpens() int64 {
-	if s.health == nil {
+	if s.members == nil {
 		return 0
 	}
-	return s.health.Opens()
+	return s.members.Health().Opens()
 }
 
 // errorJSON is the wire form of every error response.
@@ -389,7 +372,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Replicate the accepted upload to the ring successor so instance
+	// Replicate the accepted upload to the current successor so instance
 	// reads survive this replica's failure (degraded failover; see
 	// replica.go). Synchronous but PeerTimeout-bounded and best-effort.
 	s.pushToSuccessor(info.ID, info.Name, in)
