@@ -74,7 +74,7 @@ func benchInstance(n, objects int, writeFrac float64) *core.Instance {
 
 func BenchmarkApproximateN100(b *testing.B) {
 	in := benchInstance(100, 1, 0.3)
-	in.Dist() // exclude APSP warm-up from the measured loop
+	in.Metric() // exclude APSP warm-up from the measured loop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := core.Approximate(in, core.Options{FL: facility.MettuPlaxton})
@@ -84,7 +84,7 @@ func BenchmarkApproximateN100(b *testing.B) {
 
 func BenchmarkApproximateLocalSearchN60(b *testing.B) {
 	in := benchInstance(60, 1, 0.3)
-	in.Dist()
+	in.Metric()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := core.Approximate(in, core.Options{FL: facility.LocalSearch})

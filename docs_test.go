@@ -421,6 +421,106 @@ func packageDoc(t *testing.T, path string) string {
 	return f.Doc.Text()
 }
 
+// solverPackages are the layers TestNoCallerlessExports sweeps: the
+// kernels of the paper's three phases.
+var solverPackages = []string{
+	filepath.Join("internal", "graph"),
+	filepath.Join("internal", "metric"),
+	filepath.Join("internal", "core"),
+}
+
+// callerlessKeep lists the exported functions and methods of the solver
+// packages that may stay without a caller in non-test code, each with the
+// reason it stays. Keys are package.Func or package.Type.Method.
+var callerlessKeep = map[string]string{
+	"graph.Graph.Degree":        "structural accessor the generator shape tests read",
+	"graph.Graph.NeighborList":  "adjacency accessor the CSR and Steiner-subtree tests read",
+	"graph.Graph.MSTKruskal":    "reference MST the MetricMST test checks against",
+	"metric.AvgDist":            "literal d(v, z), the reference the radius tests compare against",
+	"metric.Space.Check":        "metric-axiom check the shortest-path closure tests assert",
+	"core.MakeRestricted":       "Lemma 1's restriction, a reference construction for the restricted-model tests",
+	"core.Instance.ServeCounts": "Lemma 1's per-copy serve counts, checked together with MakeRestricted",
+}
+
+// TestNoCallerlessExports asserts that every exported function and method
+// of the solver packages is named somewhere in non-test Go code outside
+// its own declaration — perfbench included — or sits on callerlessKeep
+// with a reason, and that every keep-list entry is still needed. Like
+// TestClusterDocs it matches by name, not by type: any identifier with
+// the same name counts as a use, so a dead method that shares its name
+// with a live one slips through, but a live function is never flagged.
+func TestNoCallerlessExports(t *testing.T) {
+	type decl struct {
+		key, name string
+		lo, hi    token.Pos
+	}
+	fset := token.NewFileSet()
+	var decls []decl
+	uses := map[string][]token.Pos{}
+	for _, dir := range sourceDirs(t) {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solver := false
+		for _, p := range solverPackages {
+			solver = solver || dir == p
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						uses[id.Name] = append(uses[id.Name], id.Pos())
+					}
+					return true
+				})
+				if !solver {
+					continue
+				}
+				for _, d := range f.Decls {
+					fd, ok := d.(*ast.FuncDecl)
+					if !ok || !fd.Name.IsExported() {
+						continue
+					}
+					key := pkg.Name + "." + fd.Name.Name
+					if fd.Recv != nil && len(fd.Recv.List) > 0 {
+						key = pkg.Name + "." + receiverType(fd.Recv.List[0].Type) + "." + fd.Name.Name
+					}
+					decls = append(decls, decl{key: key, name: fd.Name.Name, lo: fd.Pos(), hi: fd.End()})
+				}
+			}
+		}
+	}
+	if len(decls) == 0 {
+		t.Fatal("found no exported functions in the solver packages")
+	}
+	declared := map[string]bool{}
+	for _, d := range decls {
+		declared[d.key] = true
+		used := false
+		for _, pos := range uses[d.name] {
+			if pos < d.lo || pos >= d.hi {
+				used = true
+				break
+			}
+		}
+		_, kept := callerlessKeep[d.key]
+		switch {
+		case !used && !kept:
+			t.Errorf("%s: %s is named nowhere in non-test code; delete it or add it to callerlessKeep with a reason", fset.Position(d.lo), d.key)
+		case used && kept:
+			t.Errorf("%s has a caller; drop it from callerlessKeep", d.key)
+		}
+	}
+	for key := range callerlessKeep {
+		if !declared[key] {
+			t.Errorf("callerlessKeep names %s, which no solver package declares", key)
+		}
+	}
+}
+
 // receiverType extracts the receiver's type name from a method receiver
 // expression (*T, T, or generic T[...]).
 func receiverType(expr ast.Expr) string {

@@ -363,9 +363,6 @@ func (h *Harness) URLs() []string {
 	return urls
 }
 
-// Replica returns the i-th replica slot.
-func (h *Harness) Replica(i int) *Replica { return h.rep[i] }
-
 // Client builds a ShardedClient over the cluster with the service's
 // default retry policy — the configuration under which a mid-replay
 // kill+restart is absorbed transparently.

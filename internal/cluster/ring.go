@@ -181,16 +181,6 @@ func (r *Ring) Successor(m string) string {
 	return ""
 }
 
-// Clone returns an independent copy of the ring.
-func (r *Ring) Clone() *Ring {
-	c := &Ring{vnodes: r.vnodes, members: make(map[string]bool, len(r.members))}
-	for m := range r.members {
-		c.members[m] = true
-	}
-	c.points = append([]ringPoint(nil), r.points...)
-	return c
-}
-
 // String renders the membership, for logs and errors.
 func (r *Ring) String() string {
 	return fmt.Sprintf("ring(%d members, %d vnodes)", len(r.members), r.vnodes)

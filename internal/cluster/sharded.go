@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"netplace/internal/core"
-	"netplace/internal/encode"
 	"netplace/internal/service"
 )
 
@@ -56,16 +55,6 @@ func (sc *ShardedClient) SetBreakerConfig(cfg service.BreakerConfig) { sc.m.setB
 // inspect (or tests can manipulate) replica state.
 func (sc *ShardedClient) Health() *service.PeerHealth { return sc.m.Health() }
 
-// Successor returns the replica holding the read-only snapshot of an
-// instance — the next member after its owner in sorted member order
-// (the same rule every server layer uses), "" on a single-replica ring.
-func (sc *ShardedClient) Successor(instanceID string) string {
-	return sc.m.SuccessorOf(sc.m.Owner(instanceID))
-}
-
-// Replicas returns the replica URLs in sorted order.
-func (sc *ShardedClient) Replicas() []string { return sc.m.Members() }
-
 // Owner returns the replica URL owning an instance id.
 func (sc *ShardedClient) Owner(instanceID string) string { return sc.m.Owner(instanceID) }
 
@@ -94,16 +83,6 @@ func (sc *ShardedClient) splitSessionID(id string) (sid string, c *service.Clien
 // replica.
 func (sc *ShardedClient) Upload(ctx context.Context, name string, in *core.Instance) (service.UploadResponse, error) {
 	return sc.clientFor(service.InstanceIDFor(in)).Upload(ctx, name, in)
-}
-
-// Info returns an instance's record from its owning replica.
-func (sc *ShardedClient) Info(ctx context.Context, id string) (service.InstanceInfo, error) {
-	return sc.clientFor(id).Info(ctx, id)
-}
-
-// Delete drops an instance from its owning replica.
-func (sc *ShardedClient) Delete(ctx context.Context, id string) error {
-	return sc.clientFor(id).Delete(ctx, id)
 }
 
 // Solve solves on the instance's owning replica.
@@ -150,21 +129,6 @@ func replicaFault(err error) bool {
 	return true // transport-level fault
 }
 
-// WhatIf batches options variants on the instance's owning replica.
-func (sc *ShardedClient) WhatIf(ctx context.Context, id string, variants []service.SolveOptions) ([]service.WhatIfOutcome, error) {
-	return sc.clientFor(id).WhatIf(ctx, id, variants)
-}
-
-// Cost evaluates a placement on the instance's owning replica.
-func (sc *ShardedClient) Cost(ctx context.Context, id string, p encode.PlacementJSON) (service.BreakdownJSON, error) {
-	return sc.clientFor(id).Cost(ctx, id, p)
-}
-
-// Simulate replays the instance's workload on its owning replica.
-func (sc *ShardedClient) Simulate(ctx context.Context, id string, p encode.PlacementJSON) (service.SimulationResult, error) {
-	return sc.clientFor(id).Simulate(ctx, id, p)
-}
-
 // OpenSession opens a streaming session on the replica owning the
 // instance and rewrites the returned SessionID to the composite
 // "sid@replicaURL" form every later session call routes by.
@@ -191,18 +155,6 @@ func (sc *ShardedClient) Session(ctx context.Context, id string) (service.Sessio
 	}
 	info.SessionID = id
 	return info, nil
-}
-
-// SessionEvents streams an unsequenced batch to the session's replica.
-// Like service.Client.SessionEvents it is NOT retried on transport
-// faults; prefer SessionEventsSeq on a cluster, where replica restarts
-// are exactly the fault being absorbed.
-func (sc *ShardedClient) SessionEvents(ctx context.Context, id string, events []service.SessionEvent) (service.SessionEventsResponse, error) {
-	sid, c, err := sc.splitSessionID(id)
-	if err != nil {
-		return service.SessionEventsResponse{}, err
-	}
-	return c.SessionEvents(ctx, sid, events)
 }
 
 // SessionEventsSeq streams a sequenced batch to the session's replica —
@@ -264,15 +216,4 @@ func (sc *ShardedClient) Stats(ctx context.Context) (stats map[string]service.St
 		stats[rep] = st
 	}
 	return stats, errs
-}
-
-// Ready reports the first replica that fails its /readyz probe, or nil
-// when every replica is ready.
-func (sc *ShardedClient) Ready(ctx context.Context) error {
-	for _, rep := range sc.m.Members() {
-		if err := sc.m.Client(rep).Ready(ctx); err != nil {
-			return fmt.Errorf("cluster: replica %s not ready: %w", rep, err)
-		}
-	}
-	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"netplace/internal/facility"
 	"netplace/internal/metric"
@@ -81,8 +80,8 @@ func (o Options) p3() float64 {
 }
 
 // workers resolves the object-level fan-out: how many objects are placed
-// at once. Intra-solve parallelism is resolved separately by
-// parallelFor(n).
+// at once. Intra-solve parallelism is resolved separately, per instance
+// size, by EffectiveParallel.
 func (o Options) workers() int {
 	if o.Workers == 1 {
 		return 1
@@ -104,14 +103,6 @@ const AutoParallelMinNodes = metric.AutoParallelMinNodes
 // so the service layer can report the resolved value per instance.
 func EffectiveParallel(parallel, n int) int {
 	return metric.AutoWorkers(parallel, n)
-}
-
-// parallelFor resolves the intra-solve worker count against the instance
-// size: 1 pins a single object's solve serial (the historical
-// behaviour), negative selects GOMAXPROCS like workers(), and 0 applies
-// the size-aware auto policy (serial below AutoParallelMinNodes).
-func (o Options) parallelFor(n int) int {
-	return metric.AutoWorkers(o.Parallel, n)
 }
 
 // solveWS is the per-worker scratch of the solve pipeline: request vector,
@@ -187,38 +178,19 @@ func Approximate(in *Instance, opt Options) Placement {
 			reps = append(reps, i)
 		}
 	}
-	workers := opt.workers()
-	if workers > len(reps) {
-		workers = len(reps)
-	}
-	if workers <= 1 {
+	in.Metric() // resolve the shared oracle before fanning out
+	metric.Shard(len(reps), 1, opt.workers(), func(claim func() (int, int, bool)) {
 		ws := solvePool.Get().(*solveWS)
-		for _, i := range reps {
+		defer putSolveWS(ws)
+		for {
+			k, _, ok := claim()
+			if !ok {
+				return
+			}
+			i := reps[k]
 			p.Copies[i] = approximateObject(in, &in.Objects[i], opt, ws)
 		}
-		putSolveWS(ws)
-	} else {
-		in.Metric() // resolve the shared oracle before fanning out
-		var next int64 = -1
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				ws := solvePool.Get().(*solveWS)
-				defer putSolveWS(ws)
-				for {
-					k := int(atomic.AddInt64(&next, 1))
-					if k >= len(reps) {
-						return
-					}
-					i := reps[k]
-					p.Copies[i] = approximateObject(in, &in.Objects[i], opt, ws)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	for i, r := range rep {
 		if r != i {
 			p.Copies[i] = append([]int(nil), p.Copies[r]...)
@@ -322,7 +294,7 @@ func approximateObject(in *Instance, obj *Object, opt Options, ws *solveWS) []in
 	// Phase 1: related facility location problem. Writes count as reads;
 	// update costs are ignored. The facility instance is reused across
 	// objects so its internal scratch persists.
-	par := opt.parallelFor(n)
+	par := EffectiveParallel(opt.Parallel, n)
 	ws.fl.Open = in.Storage
 	ws.fl.Demand = req.Count
 	ws.fl.Metric = o
@@ -376,15 +348,9 @@ func approximateObject(in *Instance, obj *Object, opt Options, ws *solveWS) []in
 		}
 		// Write radii for the candidates only — the expensive scans of the
 		// pipeline. Candidates are independent, so the range is partitioned
-		// across the intra-solve workers; each writes its own rw(v), so the
-		// merged table is byte-identical to the serial fill.
-		if par >= 2 && len(order) >= 2 {
-			metric.WriteRadiiParallel(o, req, w, order, radii, par)
-		} else {
-			for _, v := range order {
-				radii[v].RW = ws.mws.WriteRadius(o, req, w, v)
-			}
-		}
+		// across the intra-solve workers (inline at one); each writes its
+		// own rw(v), so the merged table is byte-identical to a serial fill.
+		metric.WriteRadiiParallel(o, req, w, order, radii, par)
 		sort.SliceStable(order, func(a, b int) bool {
 			if radii[order[a]].RW != radii[order[b]].RW {
 				return radii[order[a]].RW < radii[order[b]].RW

@@ -41,7 +41,7 @@ func TestObjectCostAgainstLiteralDefinition(t *testing.T) {
 		copies := rng.Perm(n)[:k]
 		got := in.ObjectCost(obj, copies)
 
-		dist := in.Dist()
+		dist := in.G.AllPairs()
 		var storage, read float64
 		for _, c := range copies {
 			storage += in.Storage[c]
@@ -225,15 +225,6 @@ func TestBaselinesShape(t *testing.T) {
 	fo := FacilityOnly(in, nil)
 	if err := fo.Validate(in); err != nil {
 		t.Fatal(err)
-	}
-	rp := RandomPlacement(in, 3, rng)
-	if err := rp.Validate(in); err != nil {
-		t.Fatal(err)
-	}
-	for i := range rp.Copies {
-		if len(rp.Copies[i]) != 3 {
-			t.Fatal("random placement size wrong")
-		}
 	}
 }
 

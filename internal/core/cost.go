@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"netplace/internal/metric"
@@ -31,8 +30,8 @@ func (b *Breakdown) Add(o Breakdown) {
 
 // Scale returns the breakdown with every component multiplied by s — the
 // per-byte fee model applied to an object of size s. ObjectCost is
-// exactly ObjectCostRaw followed by Scale, and the incremental what-if
-// path relies on that identity: a size-only change reuses the raw
+// exactly ObjectCostRawParallel followed by Scale, and the incremental
+// what-if path relies on that identity: a size-only change reuses the raw
 // breakdown and re-scales, byte-identical to a fresh evaluation.
 func (b Breakdown) Scale(s float64) Breakdown {
 	return Breakdown{Storage: b.Storage * s, Read: b.Read * s, Update: b.Update * s}
@@ -50,27 +49,17 @@ var costPool = sync.Pool{New: func() interface{} { return metric.NewWorkspace() 
 // one multi-source sweep of the oracle through pooled scratch, so the
 // evaluation needs neither a dense matrix nor steady-state allocations.
 func (in *Instance) ObjectCost(obj *Object, copies []int) Breakdown {
-	return in.ObjectCostRaw(obj, copies).Scale(obj.Scale())
+	return in.ObjectCostRawParallel(obj, copies, 0).Scale(obj.Scale())
 }
 
-// ObjectCostParallel is ObjectCost with an explicit worker knob for the
-// update-tree row prefetch (0: size-aware auto, 1: serial, negative: all
-// cores — Options.Parallel semantics). The breakdown is bit-identical at
-// every worker count; the knob only decides whether uncached copy rows
-// build concurrently when the copy set outgrows the oracle's row cache.
-func (in *Instance) ObjectCostParallel(obj *Object, copies []int, parallel int) Breakdown {
-	return in.ObjectCostRawParallel(obj, copies, parallel).Scale(obj.Scale())
-}
-
-// ObjectCostRaw is ObjectCost before size scaling: the breakdown of a
-// size-1 object with the same request frequencies. The incremental what-if
-// path caches raw breakdowns so size changes re-scale instead of re-sweep.
-func (in *Instance) ObjectCostRaw(obj *Object, copies []int) Breakdown {
-	return in.ObjectCostRawParallel(obj, copies, 0)
-}
-
-// ObjectCostRawParallel is ObjectCostRaw with the ObjectCostParallel
-// worker knob.
+// ObjectCostRawParallel is ObjectCost before size scaling — the breakdown
+// of a size-1 object with the same request frequencies — with an explicit
+// worker knob for the update-tree row prefetch (0: size-aware auto, 1:
+// serial, negative: all cores — Options.Parallel semantics). The
+// incremental what-if path caches raw breakdowns so size changes
+// re-scale instead of re-sweep. The breakdown is bit-identical at every
+// worker count; the knob only decides whether uncached copy rows build
+// concurrently when the copy set outgrows the oracle's row cache.
 func (in *Instance) ObjectCostRawParallel(obj *Object, copies []int, parallel int) Breakdown {
 	ws := costPool.Get().(*metric.Workspace)
 	b := in.objectCostRaw(ws, obj, copies, parallel)
@@ -109,20 +98,4 @@ func (in *Instance) Cost(p Placement) Breakdown {
 	}
 	costPool.Put(ws)
 	return b
-}
-
-// NearestCopy returns, for every node, the distance to and identity of the
-// nearest copy in the given copy set (ties broken toward the earlier copy).
-func (in *Instance) NearestCopy(copies []int) (dist []float64, which []int) {
-	d, idx := metric.NearestIdx(in.Metric(), copies)
-	which = idx
-	for v, i := range idx {
-		if i >= 0 {
-			which[v] = copies[i]
-		} else {
-			d[v] = math.Inf(1)
-			which[v] = -1
-		}
-	}
-	return d, which
 }

@@ -104,9 +104,6 @@ type Instance struct {
 
 	mu     sync.Mutex
 	oracle metric.Oracle
-
-	distOnce sync.Once
-	dist     [][]float64
 }
 
 // NewInstance validates and assembles an instance.
@@ -266,7 +263,7 @@ func (in *Instance) buildOracle(b MetricBackend, cacheRows int) metric.Oracle {
 	}
 	switch b {
 	case MetricDense:
-		return metric.New(in.G.AllPairsParallel(0))
+		return metric.New(allPairs(in.G, -1))
 	case MetricTree:
 		if !in.G.IsTree() {
 			panic("core: MetricTree on a non-tree network")
@@ -277,34 +274,25 @@ func (in *Instance) buildOracle(b MetricBackend, cacheRows int) metric.Oracle {
 	}
 }
 
-// Dist returns the dense shortest-path matrix, computing it on first use.
-// Safe for concurrent use; the computation itself is parallelised.
-//
-// Deprecated: Dist materializes Θ(n²) memory regardless of the selected
-// backend. New code should use Metric and the helpers in internal/metric;
-// Dist remains for the small-n exact solvers and tests that genuinely need
-// a matrix.
-func (in *Instance) Dist() [][]float64 {
-	in.distOnce.Do(func() {
-		in.mu.Lock()
-		if in.oracle == nil {
-			in.oracle = in.buildOracle(MetricDense, 0)
+// allPairs builds the dense backend's distance matrix: one
+// single-source row per node, sharded across workers goroutines (negative
+// selects GOMAXPROCS) that each sweep with their own graph.Scanner. Rows
+// are independent, so the matrix is bit-identical to graph.AllPairs.
+func allPairs(g *graph.Graph, workers int) [][]float64 {
+	n := g.N()
+	d := make([][]float64, n)
+	metric.Shard(n, 1, workers, func(claim func() (int, int, bool)) {
+		sc := graph.NewScanner(g)
+		for {
+			v, _, ok := claim()
+			if !ok {
+				return
+			}
+			d[v] = sc.RowInto(v, make([]float64, n))
 		}
-		o := in.oracle
-		in.mu.Unlock()
-		if s, ok := o.(*metric.Space); ok {
-			in.dist = s.D
-			return
-		}
-		in.dist = in.G.AllPairsParallel(0)
 	})
-	return in.dist
+	return d
 }
-
-// Space returns the dense metric-space view of the network.
-//
-// Deprecated: see Dist; use Metric instead.
-func (in *Instance) Space() *metric.Space { return metric.New(in.Dist()) }
 
 // Placement assigns every object a non-empty copy set (node ids, sorted).
 type Placement struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -29,23 +30,7 @@ func intWeightInstance(rng *rand.Rand, n, objects int, tree bool) *Instance {
 			}
 		}
 	}
-	storage := make([]float64, n)
-	for v := range storage {
-		storage[v] = float64(rng.Intn(25))
-	}
-	objs := make([]Object, objects)
-	for i := range objs {
-		objs[i] = Object{Reads: make([]int64, n), Writes: make([]int64, n)}
-		for v := 0; v < n; v++ {
-			if rng.Float64() < 0.8 {
-				objs[i].Reads[v] = rng.Int63n(8)
-			}
-			if rng.Float64() < 0.4 {
-				objs[i].Writes[v] = rng.Int63n(4)
-			}
-		}
-	}
-	return MustInstance(g, storage, objs)
+	return familyInstance(rng, g, objects)
 }
 
 // instanceBackends lists the backends valid for the instance's network.
@@ -221,9 +206,8 @@ func TestLazySolve50k(t *testing.T) {
 	in := MustInstance(g, storage, []Object{obj})
 	p := Approximate(in, Options{Metric: MetricLazy, MetricRows: 64})
 
-	if in.dist != nil {
-		t.Fatal("dense all-pairs matrix was materialized behind the lazy oracle")
-	}
+	// The instance holds no distance state besides its oracle, so a lazy
+	// oracle here means no dense all-pairs matrix was materialized.
 	if in.Metric().Kind() != metric.KindLazy {
 		t.Fatalf("solve ran on %v backend, want lazy", in.Metric().Kind())
 	}
@@ -249,4 +233,102 @@ func TestLazySolve50k(t *testing.T) {
 		}
 	}
 	t.Logf("50k lazy solve: %d copies placed", len(copies))
+}
+
+// TestGeneratorFamiliesByteIdentical carries the byte-identity contract
+// and Lemma 8's proper-placement constants onto the generator families
+// nothing else solves on — torus, fat tree, preferential-attachment and
+// small-world graphs, and the four classic interconnects — under unit and
+// integer edge fees. Intra-solve parallelism (Parallel 1 vs 8), object
+// fan-out (Workers 1 vs 2) and the backend (dense vs lazy) must not
+// change a placement or its cost, and every object's placement
+// must be proper with k1 <= 29 and copy pairs at >= 4 * max rw.
+func TestGeneratorFamiliesByteIdentical(t *testing.T) {
+	families := []struct {
+		name  string
+		build func(rng *rand.Rand, w gen.WeightFn) *graph.Graph
+	}{
+		{"torus", func(_ *rand.Rand, w gen.WeightFn) *graph.Graph { return gen.Torus(5, 6, w) }},
+		{"fat-tree", func(_ *rand.Rand, w gen.WeightFn) *graph.Graph { return gen.FatTree(4, w(0, 1), w(0, 1)) }},
+		{"barabasi-albert", func(rng *rand.Rand, w gen.WeightFn) *graph.Graph { return gen.BarabasiAlbert(30, 2, rng, w) }},
+		{"watts-strogatz", func(rng *rand.Rand, w gen.WeightFn) *graph.Graph { return gen.WattsStrogatz(30, 2, 0.2, rng, w) }},
+		{"butterfly", func(_ *rand.Rand, w gen.WeightFn) *graph.Graph { return gen.Butterfly(3, false, w) }},
+		{"de-bruijn", func(_ *rand.Rand, w gen.WeightFn) *graph.Graph { return gen.DeBruijn(5, w) }},
+		{"ccc", func(_ *rand.Rand, w gen.WeightFn) *graph.Graph { return gen.CubeConnectedCycles(3, w) }},
+		{"shuffle-exchange", func(_ *rand.Rand, w gen.WeightFn) *graph.Graph { return gen.ShuffleExchange(5, w) }},
+	}
+	variants := []struct {
+		name    string
+		backend MetricBackend
+		opt     Options
+	}{
+		{"parallel-8", MetricDense, Options{Workers: 1, Parallel: 8}},
+		{"workers-2", MetricDense, Options{Workers: 2, Parallel: 1}},
+		{"lazy", MetricLazy, Options{Workers: 1, Parallel: 1}},
+	}
+	worstK1 := 0.0
+	for _, fam := range families {
+		for _, intWeights := range []bool{false, true} {
+			for seed := int64(0); seed < 4; seed++ {
+				instance := func(b MetricBackend) *Instance {
+					rng := rand.New(rand.NewSource(seed))
+					w := gen.UnitWeights
+					if intWeights {
+						w = func(u, v int) float64 { return float64(1 + rng.Intn(9)) }
+					}
+					in := familyInstance(rng, fam.build(rng, w), 3)
+					in.UseMetric(b, 0)
+					return in
+				}
+				tag := fmt.Sprintf("%s int=%v seed %d", fam.name, intWeights, seed)
+				ref := instance(MetricDense)
+				want := Approximate(ref, Options{Workers: 1, Parallel: 1})
+				wantCost := ref.Cost(want)
+				for _, v := range variants {
+					in := instance(v.backend)
+					got := Approximate(in, v.opt)
+					if !reflect.DeepEqual(got.Copies, want.Copies) {
+						t.Fatalf("%s %s: placement %v, serial dense %v", tag, v.name, got.Copies, want.Copies)
+					}
+					if cost := in.Cost(got); cost != wantCost {
+						t.Fatalf("%s %s: cost %+v, serial dense %+v", tag, v.name, cost, wantCost)
+					}
+				}
+				for i := range ref.Objects {
+					rep := ref.CheckProper(&ref.Objects[i], want.Copies[i])
+					if rep.MaxK1 > 29+1e-9 {
+						t.Fatalf("%s object %d: k1 = %v exceeds Lemma 8's 29", tag, i, rep.MaxK1)
+					}
+					if rep.Copies > 1 && rep.MinPairFactor < 4-1e-9 {
+						t.Fatalf("%s object %d: copy pair factor %v below 4", tag, i, rep.MinPairFactor)
+					}
+					worstK1 = math.Max(worstK1, rep.MaxK1)
+				}
+			}
+		}
+	}
+	t.Logf("worst k1 observed: %.3f (Lemma 8 bound: 29)", worstK1)
+}
+
+// familyInstance puts small-integer storage fees and a random read/write
+// demand for the given number of objects on g.
+func familyInstance(rng *rand.Rand, g *graph.Graph, objects int) *Instance {
+	n := g.N()
+	storage := make([]float64, n)
+	for v := range storage {
+		storage[v] = float64(rng.Intn(25))
+	}
+	objs := make([]Object, objects)
+	for i := range objs {
+		objs[i] = Object{Reads: make([]int64, n), Writes: make([]int64, n)}
+		for v := 0; v < n; v++ {
+			if rng.Float64() < 0.8 {
+				objs[i].Reads[v] = rng.Int63n(8)
+			}
+			if rng.Float64() < 0.4 {
+				objs[i].Writes[v] = rng.Int63n(4)
+			}
+		}
+	}
+	return MustInstance(g, storage, objs)
 }

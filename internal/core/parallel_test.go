@@ -9,6 +9,7 @@ import (
 	"netplace/internal/facility"
 	"netplace/internal/gen"
 	"netplace/internal/graph"
+	"netplace/internal/metric"
 )
 
 // Object-level parallelism must be exact: same placements as sequential.
@@ -79,32 +80,39 @@ func TestIntraSolveParallelMettuPlaxton(t *testing.T) {
 	}
 }
 
+// The dense backend's sharded row build must equal the serial
+// all-pairs reference at every worker count.
 func TestAllPairsParallelMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.ErdosRenyi(40, 0.15, rng, gen.UniformWeights(rng, 1, 9))
 		want := g.AllPairs()
-		for _, workers := range []int{2, 3, 0} {
-			got := g.AllPairsParallel(workers)
-			if !reflect.DeepEqual(got, want) {
+		for _, workers := range []int{1, 2, 3, -1} {
+			if got := allPairs(g, workers); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d workers %d: parallel APSP differs", seed, workers)
 			}
+		}
+		in := MustInstance(g, make([]float64, g.N()), nil)
+		in.UseMetric(MetricDense, 0)
+		if got := in.Metric().(*metric.Space).D; !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: dense oracle differs from AllPairs", seed)
 		}
 	}
 }
 
-// Concurrent lazy metric initialisation must be race-free (run with -race).
+// Concurrent lazy metric initialisation must be race-free (run with -race)
+// and install one oracle.
 func TestDistConcurrentInit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	in := randomCoreInstance(rng, 20, 1, 0.3)
-	done := make(chan [][]float64, 8)
+	done := make(chan metric.Oracle, 8)
 	for k := 0; k < 8; k++ {
-		go func() { done <- in.Dist() }()
+		go func() { done <- in.Metric() }()
 	}
 	first := <-done
 	for k := 1; k < 8; k++ {
-		if other := <-done; &other[0] != &first[0] {
-			t.Fatal("concurrent Dist() returned distinct matrices")
+		if other := <-done; other != first {
+			t.Fatal("concurrent Metric() returned distinct oracles")
 		}
 	}
 }
@@ -184,12 +192,5 @@ func TestEffectiveParallelAutoPolicy(t *testing.T) {
 		if got := EffectiveParallel(c.parallel, c.n); got != c.want {
 			t.Fatalf("EffectiveParallel(%d, %d) = %d, want %d", c.parallel, c.n, got, c.want)
 		}
-	}
-	// Options.parallelFor is the same resolution the solve pipeline uses.
-	if got := (Options{Parallel: 0}).parallelFor(AutoParallelMinNodes); got != procs {
-		t.Fatalf("parallelFor at threshold = %d, want %d", got, procs)
-	}
-	if got := (Options{Parallel: 0}).parallelFor(2500); got != 1 {
-		t.Fatalf("parallelFor below threshold = %d, want 1", got)
 	}
 }

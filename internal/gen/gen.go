@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"netplace/internal/graph"
 )
@@ -252,12 +253,18 @@ func BarabasiAlbert(n, m int, rng *rand.Rand, w WeightFn) *graph.Graph {
 		g.AddEdge(0, i, w(0, i))
 		ends = append(ends, 0, i)
 	}
+	chosen := make([]int, 0, m)
 	for v := m + 1; v < n; v++ {
-		chosen := map[int]bool{}
+		// Attach in the order targets were first drawn: ranging over a
+		// set would reorder the edges (and, with a random WeightFn, the
+		// weights) from run to run.
+		chosen = chosen[:0]
 		for len(chosen) < m {
-			chosen[ends[rng.Intn(len(ends))]] = true
+			if u := ends[rng.Intn(len(ends))]; !slices.Contains(chosen, u) {
+				chosen = append(chosen, u)
+			}
 		}
-		for u := range chosen {
+		for _, u := range chosen {
 			g.AddEdge(u, v, w(u, v))
 			ends = append(ends, u, v)
 		}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"netplace/internal/graph"
@@ -76,6 +77,51 @@ func TestRandomGraphsConnectedAndSeeded(t *testing.T) {
 		ba := BarabasiAlbert(30, 2, rand.New(rand.NewSource(seed)), UnitWeights)
 		if !ba.Connected() {
 			t.Fatalf("seed %d: barabasi-albert not connected", seed)
+		}
+	}
+}
+
+// Every generator that takes an rng must be deterministic given it: two
+// builds from one seed produce identical edge lists, order and weights
+// included (weights come from the same rng, so a reordered edge list
+// would also reweight the graph).
+func TestSeededGeneratorsDeterministic(t *testing.T) {
+	builders := map[string]func(rng *rand.Rand) *graph.Graph{
+		"random-tree": func(rng *rand.Rand) *graph.Graph {
+			return RandomTree(40, rng, UniformWeights(rng, 1, 9))
+		},
+		"erdos-renyi": func(rng *rand.Rand) *graph.Graph {
+			return ErdosRenyi(40, 0.1, rng, UniformWeights(rng, 1, 9))
+		},
+		"geometric": func(rng *rand.Rand) *graph.Graph {
+			return RandomGeometric(40, 0.2, rng, 1)
+		},
+		"watts-strogatz": func(rng *rand.Rand) *graph.Graph {
+			return WattsStrogatz(40, 2, 0.3, rng, UniformWeights(rng, 1, 9))
+		},
+		"barabasi-albert": func(rng *rand.Rand) *graph.Graph {
+			return BarabasiAlbert(40, 3, rng, UniformWeights(rng, 1, 9))
+		},
+		"clustered": func(rng *rand.Rand) *graph.Graph {
+			return Clustered(ClusteredParams{Clusters: 4, ClusterSize: 8, IntraWeight: 0.2, InterWeight: 3, Backbone: 0.5}, rng)
+		},
+	}
+	for _, name := range []string{"path", "star", "binary-tree", "random-tree", "ring", "grid", "hypercube", "complete", "er", "geometric", "clustered"} {
+		builders["build/"+name] = func(rng *rand.Rand) *graph.Graph {
+			g, err := Build(name, 30, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+	}
+	for name, build := range builders {
+		for seed := int64(0); seed < 5; seed++ {
+			a := build(rand.New(rand.NewSource(seed)))
+			b := build(rand.New(rand.NewSource(seed)))
+			if !reflect.DeepEqual(a.Edges(), b.Edges()) {
+				t.Fatalf("%s seed %d: two builds from one seed differ", name, seed)
+			}
 		}
 	}
 }

@@ -119,7 +119,7 @@ func TestScanBucketsOrderAndEarlyStop(t *testing.T) {
 	g := randomBucketable(rng, 120, 200, false)
 	var order []int
 	var dists []float64
-	ScanBuckets(g, 5, func(v int, d float64) bool {
+	NewScanner(g).ScanBuckets(5, func(v int, d float64) bool {
 		order = append(order, v)
 		dists = append(dists, d)
 		return true
@@ -136,7 +136,7 @@ func TestScanBucketsOrderAndEarlyStop(t *testing.T) {
 		}
 	}
 	seen := 0
-	ScanBuckets(g, 5, func(v int, d float64) bool {
+	NewScanner(g).ScanBuckets(5, func(v int, d float64) bool {
 		seen++
 		return seen < 10
 	})

@@ -264,15 +264,6 @@ func (g *Graph) UnweightedDiameter() int {
 	return diam
 }
 
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	s := 0.0
-	for _, e := range g.edges {
-		s += e.W
-	}
-	return s
-}
-
 // SortedEdges returns the edges sorted by ascending weight (ties by id),
 // without modifying the graph.
 func (g *Graph) SortedEdges() []Edge {

@@ -75,12 +75,13 @@ func TestDijkstraPathReconstruction(t *testing.T) {
 	g := randomConnected(rng, 25, 30)
 	dist, parent := g.Dijkstra(0)
 	for v := 0; v < g.N(); v++ {
-		path := PathTo(parent, 0, v)
-		if path == nil {
-			t.Fatalf("no path to %v", v)
-		}
-		if path[0] != 0 || path[len(path)-1] != v {
-			t.Fatalf("path endpoints %v for target %d", path, v)
+		// Walk the parent chain back to the source.
+		path := []int{v}
+		for u := v; u != 0; u = parent[u] {
+			if parent[u] < 0 || len(path) > g.N() {
+				t.Fatalf("parent chain of %d does not reach the source: %v", v, path)
+			}
+			path = append([]int{parent[u]}, path...)
 		}
 		// sum edge weights along path, taking cheapest parallel edge
 		total := 0.0
@@ -99,6 +100,8 @@ func TestDijkstraPathReconstruction(t *testing.T) {
 	}
 }
 
+// A multi-source sweep (Scanner.NearestInto) must report every node's
+// distance to its nearest source.
 func TestDijkstraFromMultiSource(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -106,7 +109,7 @@ func TestDijkstraFromMultiSource(t *testing.T) {
 		g := randomConnected(rng, n, n)
 		k := 1 + rng.Intn(n)
 		sources := rng.Perm(n)[:k]
-		dist, src := g.DijkstraFrom(sources)
+		dist := NewScanner(g).NearestInto(sources, make([]float64, n))
 		all := g.AllPairs()
 		for v := 0; v < n; v++ {
 			want := math.Inf(1)
@@ -116,24 +119,6 @@ func TestDijkstraFromMultiSource(t *testing.T) {
 			if math.Abs(dist[v]-want) > 1e-9 {
 				t.Fatalf("seed %d: multi-source dist[%d] = %v, want %v", seed, v, dist[v], want)
 			}
-			if all[v][src[v]] > dist[v]+1e-9 {
-				t.Fatalf("seed %d: reported source %d is not at distance %v", seed, src[v], dist[v])
-			}
-		}
-	}
-}
-
-func TestMSTPrimEqualsKruskal(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomConnected(rng, 2+rng.Intn(30), rng.Intn(40))
-		tk, wk := g.MSTKruskal()
-		tp, wp := g.MSTPrim()
-		if len(tk) != g.N()-1 || len(tp) != g.N()-1 {
-			t.Fatalf("seed %d: MST edge counts %d / %d, want %d", seed, len(tk), len(tp), g.N()-1)
-		}
-		if math.Abs(wk-wp) > 1e-9 {
-			t.Fatalf("seed %d: Kruskal %v != Prim %v", seed, wk, wp)
 		}
 	}
 }
@@ -157,10 +142,6 @@ func TestMetricMSTAgainstKruskalOnCompleteGraph(t *testing.T) {
 		_, want := kg.MSTKruskal()
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("seed %d: MetricMST %v, want %v", seed, got, want)
-		}
-		edges, wTree := MetricMSTTree(dist, pts)
-		if math.Abs(wTree-want) > 1e-9 || len(edges) != k-1 {
-			t.Fatalf("seed %d: MetricMSTTree weight %v edges %d", seed, wTree, len(edges))
 		}
 	}
 }
@@ -337,18 +318,6 @@ func TestAddEdgePanics(t *testing.T) {
 	}
 }
 
-func TestEccentricityAndWeightedDiameter(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(1, 2, 3)
-	if e := g.Eccentricity(1); e != 3 {
-		t.Fatalf("ecc(1) = %v", e)
-	}
-	if d := g.WeightedDiameter(); d != 5 {
-		t.Fatalf("weighted diameter %v", d)
-	}
-}
-
 func TestDegreeStats(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 1)
@@ -356,11 +325,5 @@ func TestDegreeStats(t *testing.T) {
 	g.AddEdge(0, 3, 1)
 	if g.MaxDegree() != 3 || g.Degree(0) != 3 || g.Degree(1) != 1 {
 		t.Fatal("degree bookkeeping wrong")
-	}
-	if g.TotalWeight() != 3 {
-		t.Fatal("total weight wrong")
-	}
-	if lv := g.Leaves(); len(lv) != 3 {
-		t.Fatalf("leaves %v", lv)
 	}
 }

@@ -1,11 +1,6 @@
 package graph
 
-import (
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // Inf is the distance reported for unreachable nodes.
 var Inf = math.Inf(1)
@@ -99,45 +94,6 @@ func (g *Graph) Dijkstra(src int) (dist []float64, parent []int) {
 	return dist, parent
 }
 
-// DijkstraFrom computes shortest path distances from a set of sources
-// (a "multi-source" Dijkstra). dist[v] is the distance from v to the nearest
-// source; src[v] identifies that source (-1 if unreachable).
-// It is used to find the nearest copy of an object for every node at once.
-func (g *Graph) DijkstraFrom(sources []int) (dist []float64, src []int) {
-	dist = make([]float64, g.n)
-	src = make([]int, g.n)
-	for i := range dist {
-		dist[i] = Inf
-		src[i] = -1
-	}
-	q := pq{}
-	for _, s := range sources {
-		if dist[s] > 0 {
-			dist[s] = 0
-			src[s] = s
-			q.push(pqItem{node: s, dist: 0})
-		}
-	}
-	done := make([]bool, g.n)
-	c := g.csr()
-	for len(q) > 0 {
-		it := q.pop()
-		v := it.node
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		for i, end := c.off[v], c.off[v+1]; i < end; i++ {
-			if to := int(c.to[i]); dist[v]+c.w[i] < dist[to] {
-				dist[to] = dist[v] + c.w[i]
-				src[to] = src[v]
-				q.push(pqItem{node: to, dist: dist[to]})
-			}
-		}
-	}
-	return dist, src
-}
-
 // AllPairs computes the full shortest-path distance matrix by running
 // Dijkstra from every node: O(n (m + n) log n). For the dense metric view
 // used by the placement algorithms this is both the distance function ct and
@@ -149,87 +105,4 @@ func (g *Graph) AllPairs() [][]float64 {
 		d[v] = dv
 	}
 	return d
-}
-
-// AllPairsParallel is AllPairs with the per-source Dijkstra runs fanned out
-// over a bounded worker pool. Rows are independent, so the result is
-// bit-identical to AllPairs. workers <= 0 selects GOMAXPROCS.
-func (g *Graph) AllPairsParallel(workers int) [][]float64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > g.n {
-		workers = g.n
-	}
-	if workers <= 1 {
-		return g.AllPairs()
-	}
-	d := make([][]float64, g.n)
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				v := int(atomic.AddInt64(&next, 1))
-				if v >= g.n {
-					return
-				}
-				dv, _ := g.Dijkstra(v)
-				d[v] = dv
-			}
-		}()
-	}
-	wg.Wait()
-	return d
-}
-
-// PathTo reconstructs the node sequence from src to dst using a parent array
-// produced by Dijkstra(src). It returns nil if dst is unreachable.
-func PathTo(parent []int, src, dst int) []int {
-	if src == dst {
-		return []int{src}
-	}
-	if parent[dst] < 0 {
-		return nil
-	}
-	var rev []int
-	for v := dst; v != -1; v = parent[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
-	}
-	if rev[len(rev)-1] != src {
-		return nil
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// Eccentricity returns the maximum shortest-path distance from v to any node.
-func (g *Graph) Eccentricity(v int) float64 {
-	dist, _ := g.Dijkstra(v)
-	max := 0.0
-	for _, d := range dist {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// WeightedDiameter returns the maximum over nodes of Eccentricity, i.e. the
-// largest shortest-path distance in the graph.
-func (g *Graph) WeightedDiameter() float64 {
-	max := 0.0
-	for v := 0; v < g.n; v++ {
-		if e := g.Eccentricity(v); e > max {
-			max = e
-		}
-	}
-	return max
 }

@@ -61,9 +61,9 @@ func TestPairwiseMSTAllocationFree(t *testing.T) {
 	skipUnderRace(t)
 	l := allocGrid(32)
 	points := []int{3, 57, 211, 399, 120}
-	PairwiseMST(l, points) // warm the workspace pool and row cache
+	PairwiseMST(l, points, 0) // warm the workspace pool and row cache
 	allocs := testing.AllocsPerRun(50, func() {
-		PairwiseMST(l, points)
+		PairwiseMST(l, points, 0)
 	})
 	if allocs != 0 {
 		t.Errorf("PairwiseMST allocates %.1f objects per call, want 0", allocs)

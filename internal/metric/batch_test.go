@@ -65,23 +65,26 @@ func TestRowsIntoMatchesRow(t *testing.T) {
 	}
 }
 
-// The package helper must serve batching backends through RowsInto and
-// everything else through per-node Row fetches, identically.
+// The row-plural kernels must serve batching backends through RowsInto
+// and everything else through per-node Row fetches, identically: the
+// pairwise MST prefetches its copy rows in one batch on the lazy backend
+// and falls back to Row on the dense one.
 func TestRowsHelperFallback(t *testing.T) {
 	g, ref := batchFixture(9, 80)
 	us := []int{3, 41, 3, 77, 0}
+	want := PairwiseMST(ref, us, 1)
 
 	l := NewLazy(g, 16)
-	for i, row := range Rows(l, us, 2) {
-		rowsEqualBitwise(t, row, ref.Row(us[i]), "Rows(lazy)")
+	if got := PairwiseMST(l, us, 2); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("PairwiseMST(lazy, batched) = %v, want %v", got, want)
 	}
 
 	var dense Oracle = New(Materialize(ref)) // no RowBatcher capability
 	if _, ok := dense.(RowBatcher); ok {
 		t.Fatal("dense Space unexpectedly implements RowBatcher")
 	}
-	for i, row := range Rows(dense, us, 2) {
-		rowsEqualBitwise(t, row, ref.Row(us[i]), "Rows(dense)")
+	if got := PairwiseMST(dense, us, 2); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("PairwiseMST(dense, fallback) = %v, want %v", got, want)
 	}
 }
 

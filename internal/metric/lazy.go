@@ -25,10 +25,56 @@ const DefaultLazyRows = 256
 // truncated or multi-source Dijkstra on the graph through pooled Scanners,
 // so steady-state sweeps allocate nothing.
 type Lazy struct {
+	scanPool
 	g      *graph.Graph
 	cache  []lazyShard
-	pool   sync.Pool // *graph.Scanner
 	budget int
+}
+
+// scanPool is the pooled-Scanner core shared by the graph-backed oracles
+// (Lazy and TreeMetric): it serves the scan-shaped capabilities —
+// nearest-first scans, multi-source nearest fields and pruned nearest-field
+// improvement — by borrowing one graph.Scanner per call, so steady-state
+// sweeps allocate nothing. Embedding it promotes those methods onto the
+// backend.
+type scanPool struct {
+	pool sync.Pool // *graph.Scanner
+}
+
+// init points the pool at g.
+func (p *scanPool) init(g *graph.Graph) {
+	p.pool.New = func() interface{} { return graph.NewScanner(g) }
+}
+
+// scanner borrows a pooled Scanner; release it with putScanner.
+func (p *scanPool) scanner() *graph.Scanner { return p.pool.Get().(*graph.Scanner) }
+
+// putScanner returns a borrowed Scanner to the pool.
+func (p *scanPool) putScanner(sc *graph.Scanner) { p.pool.Put(sc) }
+
+// ScanNear visits nodes in nondecreasing distance from v with a truncated
+// Dijkstra: stopping early pays only for the explored ball.
+func (p *scanPool) ScanNear(v int, fn func(u int, d float64) bool) {
+	sc := p.scanner()
+	sc.Scan(v, fn)
+	p.putScanner(sc)
+}
+
+// NearestOfInto fills dst (length n) with every node's distance to the
+// nearest source: one pooled multi-source Dijkstra, no allocation.
+func (p *scanPool) NearestOfInto(sources []int, dst []float64) []float64 {
+	sc := p.scanner()
+	sc.NearestInto(sources, dst)
+	p.putScanner(sc)
+	return dst
+}
+
+// ImproveNearest folds src into near with a pruned Dijkstra that explores
+// only the region src improves.
+func (p *scanPool) ImproveNearest(src int, near []float64) {
+	sc := p.scanner()
+	sc.ImproveNearest(src, near)
+	p.putScanner(sc)
 }
 
 const lazyShards = 16
@@ -70,7 +116,7 @@ func NewLazy(g *graph.Graph, maxRows int) *Lazy {
 		}
 		l.cache[i] = lazyShard{rows: make(map[int]*lazyEntry), cap: perShard}
 	}
-	l.pool.New = func() interface{} { return graph.NewScanner(g) }
+	l.init(g)
 	return l
 }
 
@@ -91,12 +137,6 @@ func (l *Lazy) shardOf(u int) *lazyShard {
 	}
 	return sh
 }
-
-// scanner borrows a pooled Scanner; release it with putScanner.
-func (l *Lazy) scanner() *graph.Scanner { return l.pool.Get().(*graph.Scanner) }
-
-// putScanner returns a borrowed Scanner to the pool.
-func (l *Lazy) putScanner(sc *graph.Scanner) { l.pool.Put(sc) }
 
 // N returns the number of nodes.
 func (l *Lazy) N() int { return l.g.N() }
@@ -283,29 +323,4 @@ func (l *Lazy) Dist(u, v int) float64 {
 		return row[u]
 	}
 	return l.Row(u)[v]
-}
-
-// ScanNear visits nodes in nondecreasing distance from v with a truncated
-// Dijkstra: stopping early pays only for the explored ball.
-func (l *Lazy) ScanNear(v int, fn func(u int, d float64) bool) {
-	sc := l.scanner()
-	sc.Scan(v, fn)
-	l.putScanner(sc)
-}
-
-// NearestOfInto fills dst (length n) with every node's distance to the
-// nearest source: one pooled multi-source Dijkstra, no allocation.
-func (l *Lazy) NearestOfInto(sources []int, dst []float64) []float64 {
-	sc := l.scanner()
-	sc.NearestInto(sources, dst)
-	l.putScanner(sc)
-	return dst
-}
-
-// ImproveNearest folds src into near with a pruned Dijkstra that explores
-// only the region src improves.
-func (l *Lazy) ImproveNearest(src int, near []float64) {
-	sc := l.scanner()
-	sc.ImproveNearest(src, near)
-	l.putScanner(sc)
 }

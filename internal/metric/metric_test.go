@@ -192,18 +192,6 @@ func TestRadiiNoRequests(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	// Path 0-1-2 with unit edges: weighted 1-median with heavy node 2.
-	s := New([][]float64{{0, 1, 2}, {1, 0, 1}, {2, 1, 0}})
-	v, cost := s.Median([]float64{1, 1, 10})
-	if v != 2 {
-		t.Fatalf("median %d, want 2", v)
-	}
-	if cost != 2+1 {
-		t.Fatalf("median cost %v, want 3", cost)
-	}
-}
-
 func TestAvgDistPanicsBeyondTotal(t *testing.T) {
 	defer func() {
 		if recover() == nil {

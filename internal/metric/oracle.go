@@ -87,20 +87,6 @@ type RowBatcher interface {
 	RowsInto(us []int, rows [][]float64, workers int) [][]float64
 }
 
-// Rows returns the distance rows of the nodes in us, using the oracle's
-// batched row construction when available (misses built in parallel
-// across workers; see RowBatcher) and one Row fetch per node otherwise.
-func Rows(o Oracle, us []int, workers int) [][]float64 {
-	rows := make([][]float64, len(us))
-	if rb, ok := o.(RowBatcher); ok {
-		return rb.RowsInto(us, rows, workers)
-	}
-	for i, u := range us {
-		rows[i] = o.Row(u)
-	}
-	return rows
-}
-
 // ScanNear visits nodes in nondecreasing distance from v, calling
 // fn(u, d) until it returns false. It uses the oracle's native scanner when
 // available and otherwise sorts the distance row of v (ties broken toward
@@ -202,33 +188,14 @@ func NearestIdx(o Oracle, sources []int) (dist []float64, idx []int) {
 	return dist, idx
 }
 
-// Pairwise extracts the k x k distance matrix over the given points using
-// one row fetch per point.
-func Pairwise(o Oracle, points []int) [][]float64 {
-	k := len(points)
-	d := make([][]float64, k)
-	for i, p := range points {
-		row := o.Row(p)
-		d[i] = make([]float64, k)
-		for j, q := range points {
-			d[i][j] = row[q]
-		}
-	}
-	return d
-}
-
 // PairwiseMST returns the weight of a minimum spanning tree over points
 // under the oracle metric — the paper's multicast-tree cost for updating a
-// copy set. Prim in O(k²) after k row fetches; 0 for k <= 1. Scratch comes
-// from a pooled Workspace, so steady-state calls allocate nothing.
-func PairwiseMST(o Oracle, points []int) float64 {
-	return PairwiseMSTParallel(o, points, 0)
-}
-
-// PairwiseMSTParallel is PairwiseMST with an explicit worker knob for the
-// row prefetch (0: size-aware auto, 1: serial, negative: all cores); the
-// result is bit-identical at every worker count.
-func PairwiseMSTParallel(o Oracle, points []int, workers int) float64 {
+// copy set. Prim in O(k²) after k row fetches; 0 for k <= 1. workers is
+// the row-prefetch knob (0: size-aware auto, 1: serial, negative: all
+// cores; see Workspace.PairwiseMSTParallel); the result is bit-identical
+// at every worker count. Scratch comes from a pooled Workspace, so
+// steady-state calls allocate nothing.
+func PairwiseMST(o Oracle, points []int, workers int) float64 {
 	ws := wsPool.Get().(*Workspace)
 	total := ws.PairwiseMSTParallel(o, points, workers)
 	putWorkspace(ws)

@@ -125,7 +125,7 @@ func TestNearestHelpersEquivalence(t *testing.T) {
 		sources = sources[:srcCount]
 		dense := New(g.AllPairs())
 		want := NearestOf(dense, sources)
-		wantMST := PairwiseMST(dense, sources)
+		wantMST := PairwiseMST(dense, sources, 0)
 		for name, o := range backendsFor(g) {
 			if got := NearestOf(o, sources); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d %s: NearestOf diverged\n got %v\nwant %v", seed, name, got, want)
@@ -140,7 +140,7 @@ func TestNearestHelpersEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(near, want) {
 				t.Fatalf("seed %d %s: incremental ImproveNearest diverged", seed, name)
 			}
-			if got := PairwiseMST(o, sources); got != wantMST {
+			if got := PairwiseMST(o, sources, 0); got != wantMST {
 				t.Fatalf("seed %d %s: PairwiseMST = %v, want %v", seed, name, got, wantMST)
 			}
 		}

@@ -2,7 +2,6 @@ package metric
 
 import (
 	"math/bits"
-	"sync"
 
 	"netplace/internal/graph"
 )
@@ -16,13 +15,13 @@ import (
 //
 // LCA queries use the Euler-tour + sparse-table scheme (O(1) per query).
 type TreeMetric struct {
+	scanPool
 	g     *graph.Graph
 	depth []float64 // weighted depth from the root
 	level []int32   // unweighted depth, for LCA minimisation
 	first []int     // first occurrence of each node in the Euler tour
 	euler []int32   // Euler tour of node ids, len 2n-1
 	table [][]int32 // sparse table over euler positions, argmin by level
-	pool  sync.Pool // *graph.Scanner
 }
 
 // NewTree builds a TreeMetric over the tree network g. It panics if g is
@@ -38,7 +37,7 @@ func NewTree(g *graph.Graph) *TreeMetric {
 		level: make([]int32, n),
 		first: make([]int, n),
 	}
-	t.pool.New = func() interface{} { return graph.NewScanner(g) }
+	t.init(g)
 	if n == 0 {
 		return t
 	}
@@ -136,28 +135,4 @@ func (t *TreeMetric) Row(u int) []float64 {
 		row[v] = t.Dist(u, v)
 	}
 	return row
-}
-
-// ScanNear visits nodes in nondecreasing distance from v with a truncated
-// Dijkstra over the tree.
-func (t *TreeMetric) ScanNear(v int, fn func(u int, d float64) bool) {
-	sc := t.pool.Get().(*graph.Scanner)
-	sc.Scan(v, fn)
-	t.pool.Put(sc)
-}
-
-// NearestOfInto fills dst (length n) with every node's distance to the
-// nearest source: one pooled multi-source Dijkstra, no allocation.
-func (t *TreeMetric) NearestOfInto(sources []int, dst []float64) []float64 {
-	sc := t.pool.Get().(*graph.Scanner)
-	sc.NearestInto(sources, dst)
-	t.pool.Put(sc)
-	return dst
-}
-
-// ImproveNearest folds src into near with a pruned Dijkstra.
-func (t *TreeMetric) ImproveNearest(src int, near []float64) {
-	sc := t.pool.Get().(*graph.Scanner)
-	sc.ImproveNearest(src, near)
-	t.pool.Put(sc)
 }

@@ -171,17 +171,12 @@ func (w *Workspace) pairwise(o Oracle, points []int, workers int) []float64 {
 	return d
 }
 
-// PairwiseMST returns the weight of a minimum spanning tree over points
-// under the oracle metric using the workspace's scratch; identical in
-// result to the package-level PairwiseMST.
-func (w *Workspace) PairwiseMST(o Oracle, points []int) float64 {
-	return w.PairwiseMSTParallel(o, points, 0)
-}
-
-// PairwiseMSTParallel is PairwiseMST with an explicit worker knob for the
-// row prefetch (0: size-aware auto, 1: serial, negative: all cores). The
-// result is bit-identical at every worker count; the knob only decides
-// whether uncached copy rows build concurrently.
+// PairwiseMSTParallel returns the weight of a minimum spanning tree over
+// points under the oracle metric using the workspace's scratch, with an
+// explicit worker knob for the row prefetch (0: size-aware auto, 1:
+// serial, negative: all cores). The result is bit-identical at every
+// worker count; the knob only decides whether uncached copy rows build
+// concurrently.
 func (w *Workspace) PairwiseMSTParallel(o Oracle, points []int, workers int) float64 {
 	if len(points) <= 1 {
 		return 0

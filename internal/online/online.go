@@ -154,7 +154,7 @@ func RunCheckpoints(in *core.Instance, seq []workload.Request, cfg Config, every
 		if r.Write {
 			// multicast update over the current copies
 			if s.count > 1 {
-				st.Transmission += size * metric.PairwiseMST(o, copySet(s))
+				st.Transmission += size * metric.PairwiseMST(o, copySet(s), 0)
 			}
 			// invalidate idle replicas (classic write-invalidate pressure)
 			if cfg.DropIdle {
@@ -235,7 +235,7 @@ func StaticCost(in *core.Instance, p core.Placement, seq []workload.Request) flo
 	}
 	mst := make([]float64, len(in.Objects))
 	for oi := range in.Objects {
-		mst[oi] = metric.PairwiseMST(o, p.Copies[oi])
+		mst[oi] = metric.PairwiseMST(o, p.Copies[oi], 0)
 	}
 	for _, r := range seq {
 		size := in.Objects[r.Obj].Scale()

@@ -176,7 +176,7 @@ func (s *Server) Stats() Stats {
 	// Config.Parallel yields different worker counts per instance size.
 	perInstance := make(map[string]int)
 	for _, info := range s.engine.registry.List() {
-		perInstance[info.ID] = effectiveParallel(s.cfg.Parallel, info.Nodes)
+		perInstance[info.ID] = core.EffectiveParallel(s.cfg.Parallel, info.Nodes)
 	}
 	return Stats{
 		UptimeSeconds:        time.Since(s.start).Seconds(),

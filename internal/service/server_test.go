@@ -380,10 +380,10 @@ func TestStatsEffectiveParallelPerInstance(t *testing.T) {
 	}
 
 	// The resolver itself flips at the threshold for the auto knob.
-	if got := effectiveParallel(0, core.AutoParallelMinNodes); got != runtime.GOMAXPROCS(0) {
+	if got := core.EffectiveParallel(0, core.AutoParallelMinNodes); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("auto at threshold = %d, want GOMAXPROCS", got)
 	}
-	if got := effectiveParallel(0, core.AutoParallelMinNodes-1); got != 1 {
+	if got := core.EffectiveParallel(0, core.AutoParallelMinNodes-1); got != 1 {
 		t.Fatalf("auto below threshold = %d, want 1", got)
 	}
 }

@@ -29,8 +29,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-
-	"netplace/internal/core"
 )
 
 // Config tunes a Server. The zero value is serviceable: DefaultConfig
@@ -161,14 +159,6 @@ func (c Config) withDefaults() Config {
 		c.ProbeInterval = DefaultProbeInterval
 	}
 	return c
-}
-
-// effectiveParallel resolves a Config.Parallel value against an instance
-// of n nodes to the worker count a solver run actually uses: negative is
-// GOMAXPROCS, zero the size-aware auto policy (serial below
-// core.AutoParallelMinNodes).
-func effectiveParallel(p, n int) int {
-	return core.EffectiveParallel(p, n)
 }
 
 // counters aggregates the engine's monotonic event counts and gauges; all

@@ -77,7 +77,7 @@ func staticCost(in *core.Instance, p core.Placement, seq []workload.Request, epo
 	var storage float64
 	for oi := range in.Objects {
 		near[oi] = metric.NearestOf(o, p.Copies[oi])
-		mst[oi] = metric.PairwiseMST(o, p.Copies[oi])
+		mst[oi] = metric.PairwiseMST(o, p.Copies[oi], 0)
 		size := in.Objects[oi].Scale()
 		for _, c := range p.Copies[oi] {
 			storage += size * in.Storage[c]

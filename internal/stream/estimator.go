@@ -83,9 +83,6 @@ func (e *Estimator) Observe(r workload.Request) {
 	}
 }
 
-// Epochs returns the number of closed epochs.
-func (e *Estimator) Epochs() int { return e.epochs }
-
 // WindowFull reports whether the estimator has seen enough epochs to fill
 // its configured memory (Window epochs for the sliding window; one
 // effective window, ~1/Alpha epochs, for the EWMA).

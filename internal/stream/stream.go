@@ -339,7 +339,7 @@ func (e *Engine) Observe(r workload.Request) (*EpochReport, error) {
 	if r.Write && len(st.copies) > 1 {
 		// The multicast price honours the session's parallel knob: a copy
 		// set past the row budget rebuilds its rows, batched when allowed.
-		e.report.Transmission += size * metric.PairwiseMSTParallel(o, st.copies, e.cfg.Solve.Parallel)
+		e.report.Transmission += size * metric.PairwiseMST(o, st.copies, e.cfg.Solve.Parallel)
 	}
 	e.est.Observe(r)
 	e.stats.Events++
@@ -417,8 +417,8 @@ func (e *Engine) closeEpoch() *EpochReport {
 			}
 			// Hysteresis: estimated saving per epoch must pay the migration
 			// transfer back within Payback epochs.
-			curCost := scen.ObjectCostParallel(obj, st.copies, e.cfg.Solve.Parallel).Total()
-			candCost := scen.ObjectCostParallel(obj, cand, e.cfg.Solve.Parallel).Total()
+			curCost := scen.ObjectCostRawParallel(obj, st.copies, e.cfg.Solve.Parallel).Scale(obj.Scale()).Total()
+			candCost := scen.ObjectCostRawParallel(obj, cand, e.cfg.Solve.Parallel).Scale(obj.Scale()).Total()
 			saving := curCost - candCost // per Horizon events
 			transfer := e.migrationCost(o, i, st.copies, cand)
 			if e.cfg.MigrationFactor >= 0 {

@@ -19,7 +19,7 @@ func ObjectCost(g *graph.Graph, storage []float64, reads, writes []int64, copies
 		total += storage[c]
 	}
 	// Reads: nearest copy via multi-source Dijkstra.
-	dist, _ := g.DijkstraFrom(copies)
+	dist := graph.NewScanner(g).NearestInto(copies, make([]float64, g.N()))
 	for v, r := range reads {
 		if r > 0 {
 			total += float64(r) * dist[v]
@@ -81,7 +81,7 @@ func ObjectCostSteiner(g *graph.Graph, storage []float64, reads, writes []int64,
 	for _, c := range copies {
 		total += storage[c]
 	}
-	dist, _ := g.DijkstraFrom(copies)
+	dist := graph.NewScanner(g).NearestInto(copies, make([]float64, g.N()))
 	for v, r := range reads {
 		if r > 0 {
 			total += float64(r) * dist[v]

@@ -138,9 +138,6 @@ func Build(g *graph.Graph, root int) *Tree {
 	return t
 }
 
-// Orig returns the original node for bin node b, or -1 for virtual nodes.
-func (t *Tree) Orig(b int) int { return t.orig[b] }
-
 // Validate cross-checks internal invariants; used by tests.
 func (t *Tree) Validate() error {
 	for b := 0; b < t.BN; b++ {

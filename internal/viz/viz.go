@@ -1,14 +1,11 @@
-// Package viz renders networks and placements for humans: Graphviz DOT
-// export (with copy nodes highlighted and edge fees as labels), ASCII grids
-// for mesh topologies, and indented ASCII trees. cmd/placer exposes the DOT
-// output behind -dot.
+// Package viz renders networks and placements for humans as Graphviz DOT
+// (with copy nodes highlighted and edge fees as labels). cmd/placer
+// exposes it behind -dot.
 package viz
 
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"netplace/internal/graph"
 )
@@ -62,90 +59,4 @@ func WriteDot(w io.Writer, g *graph.Graph, opt DotOptions) error {
 	}
 	_, err := fmt.Fprintln(w, "}")
 	return err
-}
-
-// Grid renders a rows x cols mesh as ASCII, marking nodes in marks with
-// '#' and others with '.'. Node ids are row-major as produced by gen.Grid.
-func Grid(rows, cols int, marks []int) string {
-	set := make(map[int]bool, len(marks))
-	for _, m := range marks {
-		set[m] = true
-	}
-	var b strings.Builder
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c > 0 {
-				b.WriteByte(' ')
-			}
-			if set[r*cols+c] {
-				b.WriteByte('#')
-			} else {
-				b.WriteByte('.')
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Tree renders a tree graph rooted at root as an indented ASCII outline,
-// marking copy-holding nodes with a star. Panics if g is not a tree.
-func Tree(g *graph.Graph, root int, copies []int) string {
-	parent, pw, order := g.TreeParents(root)
-	children := make([][]int, g.N())
-	for _, v := range order {
-		if parent[v] >= 0 {
-			children[parent[v]] = append(children[parent[v]], v)
-		}
-	}
-	for _, ch := range children {
-		sort.Ints(ch)
-	}
-	isCopy := make(map[int]bool, len(copies))
-	for _, c := range copies {
-		isCopy[c] = true
-	}
-	var b strings.Builder
-	var walk func(v int, prefix string, last bool, edge float64, top bool)
-	walk = func(v int, prefix string, last bool, edge float64, top bool) {
-		mark := ""
-		if isCopy[v] {
-			mark = " *"
-		}
-		if top {
-			fmt.Fprintf(&b, "%d%s\n", v, mark)
-		} else {
-			connector := "├─"
-			if last {
-				connector = "└─"
-			}
-			fmt.Fprintf(&b, "%s%s %d (ct %g)%s\n", prefix, connector, v, edge, mark)
-		}
-		childPrefix := prefix
-		if !top {
-			if last {
-				childPrefix += "   "
-			} else {
-				childPrefix += "│  "
-			}
-		}
-		for i, c := range children[v] {
-			walk(c, childPrefix, i == len(children[v])-1, pw[c], false)
-		}
-	}
-	walk(root, "", true, 0, true)
-	return b.String()
-}
-
-// PlacementSummary formats a per-object placement listing.
-func PlacementSummary(names []string, copies [][]int) string {
-	var b strings.Builder
-	for i, set := range copies {
-		name := fmt.Sprintf("object-%d", i)
-		if i < len(names) && names[i] != "" {
-			name = names[i]
-		}
-		fmt.Fprintf(&b, "%-16s %d copies at %v\n", name, len(set), set)
-	}
-	return b.String()
 }

@@ -47,45 +47,3 @@ func TestWriteDotCustomLabels(t *testing.T) {
 		t.Fatalf("custom labels not applied:\n%s", out)
 	}
 }
-
-func TestGridRendering(t *testing.T) {
-	out := Grid(2, 3, []int{0, 5})
-	want := "# . .\n. . #\n"
-	if out != want {
-		t.Fatalf("grid = %q, want %q", out, want)
-	}
-}
-
-func TestTreeRendering(t *testing.T) {
-	g := graph.New(5)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(0, 2, 3)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(2, 4, 1)
-	out := Tree(g, 0, []int{2})
-	if !strings.Contains(out, "2 (ct 3) *") {
-		t.Fatalf("copy star missing:\n%s", out)
-	}
-	if !strings.HasPrefix(out, "0\n") {
-		t.Fatalf("root line wrong:\n%s", out)
-	}
-	for v := 0; v < 5; v++ {
-		if !strings.Contains(out, "1 (ct 2)") {
-			t.Fatalf("node rendering missing:\n%s", out)
-		}
-	}
-	// leaves use the corner connector
-	if !strings.Contains(out, "└─") || !strings.Contains(out, "├─") {
-		t.Fatalf("connectors missing:\n%s", out)
-	}
-}
-
-func TestPlacementSummary(t *testing.T) {
-	out := PlacementSummary([]string{"alpha", ""}, [][]int{{1, 2}, {0}})
-	if !strings.Contains(out, "alpha") || !strings.Contains(out, "object-1") {
-		t.Fatalf("summary wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "2 copies at [1 2]") {
-		t.Fatalf("copy listing wrong:\n%s", out)
-	}
-}

@@ -189,16 +189,3 @@ func Uniform(n int, reads, writes int64) []core.Object {
 	}
 	return []core.Object{o}
 }
-
-// PointLoad returns a single-object workload where only the given nodes
-// issue requests, with the supplied read/write counts.
-func PointLoad(n int, readsAt map[int]int64, writesAt map[int]int64) []core.Object {
-	o := core.Object{Name: "obj-point", Reads: make([]int64, n), Writes: make([]int64, n)}
-	for v, c := range readsAt {
-		o.Reads[v] = c
-	}
-	for v, c := range writesAt {
-		o.Writes[v] = c
-	}
-	return []core.Object{o}
-}

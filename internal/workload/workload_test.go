@@ -103,16 +103,12 @@ func TestHotspotConcentration(t *testing.T) {
 	}
 }
 
-func TestUniformAndPointLoad(t *testing.T) {
+func TestUniformLoad(t *testing.T) {
 	u := Uniform(5, 3, 2)[0]
 	for v := 0; v < 5; v++ {
 		if u.Reads[v] != 3 || u.Writes[v] != 2 {
 			t.Fatal("uniform load wrong")
 		}
-	}
-	p := PointLoad(6, map[int]int64{2: 7}, map[int]int64{4: 1})[0]
-	if p.Reads[2] != 7 || p.Writes[4] != 1 || p.Reads[0] != 0 {
-		t.Fatal("point load wrong")
 	}
 }
 

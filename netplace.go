@@ -33,13 +33,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"netplace/internal/core"
 	"netplace/internal/encode"
 	"netplace/internal/facility"
+	"netplace/internal/metric"
 	"netplace/internal/netsim"
 	"netplace/internal/online"
 	"netplace/internal/tree"
@@ -107,36 +105,16 @@ func SolveTree(in *Instance) (Placement, error) {
 	// Objects are independent (the paper solves them one at a time); fan
 	// out across GOMAXPROCS workers. The Tree structure is read-only
 	// during Solve, so sharing it is safe.
-	solveOne := func(i int) {
-		obj := &in.Objects[i]
-		p.Copies[i], costs[i] = t.Solve(in.Storage, obj.Reads, obj.Writes)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(in.Objects) {
-		workers = len(in.Objects)
-	}
-	if workers <= 1 {
-		for i := range in.Objects {
-			solveOne(i)
+	metric.Shard(len(in.Objects), 1, -1, func(claim func() (int, int, bool)) {
+		for {
+			i, _, ok := claim()
+			if !ok {
+				return
+			}
+			obj := &in.Objects[i]
+			p.Copies[i], costs[i] = t.Solve(in.Storage, obj.Reads, obj.Writes)
 		}
-	} else {
-		var next int64 = -1
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(in.Objects) {
-						return
-					}
-					solveOne(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	// The DP's optimum is a witness for each result; an empty copy set or a
 	// non-finite cost means the solve failed and must not pass silently.
 	for i := range in.Objects {
